@@ -249,11 +249,8 @@ def approximant(n) -> complex:
             raise ValueError("n must be >= 3")
         return asymptotic_form(n - 0.5, 0.25, float(ApproximantCoefficients.for_index(int(n)).b))
     n = np.asarray(n)
-    b_even = float(Fraction(43, 6))
-    b_odd = float(Fraction(31, 6))
-    even = asymptotic_form(np.asarray(n, dtype=float) - 0.5, 0.25, b_even)
-    odd = asymptotic_form(np.asarray(n, dtype=float) - 0.5, 0.25, b_odd)
-    return np.where(n % 2 == 0, even, odd)
+    b = np.where(n % 2 == 0, float(Fraction(43, 6)), float(Fraction(31, 6)))
+    return asymptotic_form(n.astype(float) - 0.5, 0.25, b)
 
 
 def unwrap_angle(z: complex, theta_hint: float) -> float:

@@ -21,7 +21,7 @@ from .asymptotics import Parity
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     APPROXIMANT_SCALE,
-    ConvergenceRecord,
+    DistanceTable,
     FitError,
     NORMALIZATION_MODULUS,
     RigidMotion,
@@ -36,6 +36,9 @@ from .metrics import (
 from .svgout import scene_from_chain
 
 MAX_N = 10**6
+FORMATS = ("csv", "json")
+
+_PARITY = (Parity.EVEN.value, Parity.ODD.value)
 
 TARGETS = {
     Family.ALL_POLYGONS: {Parity.EVEN: 5.0 / 6.0, Parity.ODD: 7.0 / 12.0},
@@ -66,11 +69,13 @@ class RunConfig:
             lo, hi = self.window
             if not (first <= lo < hi <= self.n_max):
                 raise UsageError(f"--window must satisfy {first} <= A < B <= n_max")
+        if self.fmt not in FORMATS:
+            raise UsageError(f"format must be one of {list(FORMATS)}, not {self.fmt!r}")
 
     def fit_window(self) -> tuple[int, int]:
         if self.window is not None:
             return self.window
-        return max(3, self.n_max // 4), max(4, self.n_max // 2)
+        return max(3, self.n_max // 4), min(self.n_max, max(4, self.n_max // 2))
 
 
 def _fmt(x: float) -> str:
@@ -85,19 +90,23 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise UsageError(f"bad window {text!r}; expected A:B") from exc
 
 
+def _tolerance(name: str, value) -> tuple[str, float]:
+    if name not in verify.DEFAULT_TOLERANCES:
+        raise UsageError(f"unknown tolerance {name!r}; choose from {sorted(verify.DEFAULT_TOLERANCES)}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value {value!r} for tolerance {name!r}") from exc
+    if not math.isfinite(number):
+        raise UsageError(f"tolerance {name!r} must be finite, not {value!r}")
+    return name, number
+
+
 def _parse_tolerance(pairs: list[str]) -> dict[str, float]:
-    out = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"bad tolerance {pair!r}; expected NAME=VALUE")
-        name, value = pair.split("=", 1)
-        if name not in verify.DEFAULT_TOLERANCES:
-            raise UsageError(f"unknown tolerance {name!r}; choose from {sorted(verify.DEFAULT_TOLERANCES)}")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"bad tolerance value in {pair!r}") from exc
-    return out
+    return dict(_tolerance(*pair.split("=", 1)) for pair in pairs)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -110,21 +119,27 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise IOError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad config file {args.config}: {exc}") from exc
-        if "family" in data:
-            cfg.family = Family(data["family"])
-        if "n_max" in data:
-            cfg.n_max = int(data["n_max"])
-        if "window" in data:
-            w = data["window"]
-            cfg.window = _parse_window(w) if isinstance(w, str) else (int(w[0]), int(w[1]))
-        if "format" in data:
-            cfg.fmt = str(data["format"])
-        if "out" in data:
-            cfg.out = str(data["out"])
-        if "extrapolate" in data:
-            cfg.extrapolate = bool(data["extrapolate"])
-        if "tolerances" in data:
-            cfg.tolerances.update({k: float(v) for k, v in data["tolerances"].items()})
+        if not isinstance(data, dict):
+            raise UsageError(f"bad config file {args.config}: expected a JSON object")
+        try:
+            if "family" in data:
+                cfg.family = Family(data["family"])
+            if "n_max" in data:
+                cfg.n_max = int(data["n_max"])
+            if "window" in data:
+                w = data["window"]
+                lo, hi = w.split(":") if isinstance(w, str) else w
+                cfg.window = int(lo), int(hi)
+            if "format" in data:
+                cfg.fmt = str(data["format"])
+            if "out" in data:
+                cfg.out = str(data["out"])
+            if "extrapolate" in data:
+                cfg.extrapolate = bool(data["extrapolate"])
+            if "tolerances" in data:
+                cfg.tolerances.update(_tolerance(k, v) for k, v in data["tolerances"].items())
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise UsageError(f"bad config file {args.config}: {exc}") from exc
 
     if getattr(args, "family", None) is not None:
         cfg.family = Family(args.family)
@@ -165,15 +180,12 @@ def _sequence(cfg: RunConfig) -> CenterSequence:
 
 def cmd_centers(cfg: RunConfig) -> int:
     seq = _sequence(cfg)
-    ns = range(seq.first_index, seq.last_index + 1)
+    rows = zip(range(seq.first_index, seq.last_index + 1), seq.centers.real.tolist(), seq.centers.imag.tolist())
     if cfg.fmt == "csv":
-        lines = ["n,re,im"]
-        for n in ns:
-            z = seq.center(n)
-            lines.append(f"{n},{_fmt(z.real)},{_fmt(z.imag)}")
+        lines = ["n,re,im"] + [f"{n},{_fmt(re)},{_fmt(im)}" for n, re, im in rows]
         _write_output("\n".join(lines) + "\n", cfg.out)
     else:
-        records = [{"n": n, "re": seq.center(n).real, "im": seq.center(n).imag} for n in ns]
+        records = [{"n": n, "re": re, "im": im} for n, re, im in rows]
         _write_output(json.dumps({"family": cfg.family.value, "records": records}, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0
 
@@ -197,15 +209,18 @@ def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
 def _fit(cfg: RunConfig, route: str) -> tuple[RigidMotion, dict]:
     seq = _sequence(cfg)
     window = cfg.fit_window()
-    if route == "approximant":
-        if cfg.family is not Family.ALL_POLYGONS:
-            raise UsageError("the approximant route only exists for --family all")
-        motion, diag = fit_motion_to_approximant(seq, window)
-    else:
-        init = None
-        if cfg.family is Family.ALL_POLYGONS:
-            init, _ = fit_motion_to_approximant(seq, window)
-        motion, diag = fit_motion_to_spiral(seq, TARGET_SPIRAL, window, init=init)
+    try:
+        if route == "approximant":
+            if cfg.family is not Family.ALL_POLYGONS:
+                raise UsageError("the approximant route only exists for --family all")
+            motion, diag = fit_motion_to_approximant(seq, window)
+        else:
+            init = None
+            if cfg.family is Family.ALL_POLYGONS:
+                init, _ = fit_motion_to_approximant(seq, window)
+            motion, diag = fit_motion_to_spiral(seq, TARGET_SPIRAL, window, init=init)
+    except ValueError as exc:  # the fits reject windows too short for them
+        raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
     info = {
         "route": route,
         "window": list(window),
@@ -229,31 +244,25 @@ def _default_route(cfg: RunConfig) -> str:
     return "approximant" if cfg.family is Family.ALL_POLYGONS else "spiral"
 
 
-def _summary(cfg: RunConfig, records: list[ConvergenceRecord]) -> list[tuple[str, float]]:
+def _summary(cfg: RunConfig, table: DistanceTable) -> list[tuple[str, float]]:
     targets = TARGETS[cfg.family]
-    n_hi = max(r.n for r in records)
-    raw_cut = int(0.8 * n_hi)
-    raw = parity_means([r for r in records if r.n >= raw_cut])
+    raw = parity_means(table.select(table.n >= int(0.8 * table.n[-1])))
     pairs = []
-    for parity in (Parity.EVEN, Parity.ODD):
-        if parity in raw:
-            pairs.append((f"raw_mean_{parity.value}", raw[parity]))
-            pairs.append((f"target_{parity.value}", targets[parity]))
+    for parity, mean in raw.items():
+        pairs.append((f"raw_mean_{parity.value}", mean))
+        pairs.append((f"target_{parity.value}", targets[parity]))
     if cfg.extrapolate:
-        have = [r for r in records if r.extrapolated is not None]
-        if have:
-            ext_hi = max(r.n for r in have)
-            ext = parity_means([r for r in have if r.n >= int(0.8 * ext_hi)], extrapolated=True)
-            for parity in (Parity.EVEN, Parity.ODD):
-                if parity in ext:
-                    pairs.append((f"extrapolated_mean_{parity.value}", ext[parity]))
+        have = table.n[~np.isnan(table.extrapolated)]
+        if len(have):
+            ext = parity_means(table.select(table.n >= int(0.8 * have[-1])), extrapolated=True)
+            pairs += [(f"extrapolated_mean_{parity.value}", mean) for parity, mean in ext.items()]
             if Parity.EVEN in ext and Parity.ODD in ext:
                 pairs.append(("extrapolated_combined_mean", 0.5 * (ext[Parity.EVEN] + ext[Parity.ODD])))
                 pairs.append(("extrapolated_alternation", 0.5 * (ext[Parity.EVEN] - ext[Parity.ODD])))
     if cfg.family is Family.ALL_POLYGONS:
         pairs.append(("target_combined_mean", 17.0 / 24.0))
         pairs.append(("target_alternation", 1.0 / 8.0))
-    pairs.append(("inner_side_fraction", inner_side_fraction(records)))
+    pairs.append(("inner_side_fraction", inner_side_fraction(table)))
     return pairs
 
 
@@ -261,30 +270,23 @@ def cmd_distances(cfg: RunConfig, route: str | None) -> int:
     route = route or _default_route(cfg)
     motion, info = _fit(cfg, route)
     seq = _sequence(cfg)
-    records = distance_table(seq, motion, cfg.n_max)
+    table = distance_table(seq, motion, cfg.n_max)
     if cfg.extrapolate:
-        records = richardson_extrapolate(records)
-    summary = _summary(cfg, records)
+        table = richardson_extrapolate(table)
+    summary = _summary(cfg, table)
 
+    extrapolated = [None if math.isnan(x) else x for x in table.extrapolated.tolist()]
+    rows = zip(table.n.tolist(), table.distance.tolist(), extrapolated)
     if cfg.fmt == "csv":
         lines = ["n,parity,distance,extrapolated"]
-        for r in records:
-            tail = _fmt(r.extrapolated) if r.extrapolated is not None else ""
-            lines.append(f"{r.n},{r.parity.value},{_fmt(r.distance)},{tail}")
-        for key, value in summary:
-            lines.append(f"# {key}={_fmt(value)}")
+        lines += [f"{n},{_PARITY[n % 2]},{_fmt(d)},{'' if x is None else _fmt(x)}" for n, d, x in rows]
+        lines += [f"# {key}={_fmt(value)}" for key, value in summary]
         _write_output("\n".join(lines) + "\n", cfg.out)
     else:
         payload = {
             "fit": info,
             "records": [
-                {
-                    "n": r.n,
-                    "parity": r.parity.value,
-                    "distance": r.distance,
-                    "extrapolated": r.extrapolated,
-                }
-                for r in records
+                {"n": n, "parity": _PARITY[n % 2], "distance": d, "extrapolated": x} for n, d, x in rows
             ],
             "summary": dict(summary),
         }
@@ -305,9 +307,8 @@ def cmd_render(cfg: RunConfig) -> int:
             raise UsageError("--overlay needs a fit window of at least 8 indices")
         seq = centers_all(cfg.n_max)
         motion, _ = fit_motion_to_approximant(seq, window)
-        records = distance_table(seq, motion, cfg.n_max)
-        thetas = [r.theta for r in records]
-        grid = np.linspace(min(thetas) - 0.5 * math.pi, max(thetas) + 0.5 * math.pi, 600)
+        thetas = distance_table(seq, motion, cfg.n_max).theta
+        grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
         w = TARGET_SPIRAL.point(grid)
         a = np.exp(1j * motion.rotation) * (NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)) * w + motion.translation
         spiral_samples = a / APPROXIMANT_SCALE
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=[f.value for f in Family], default=None)
         p.add_argument("--n-max", dest="n_max", type=int, default=None)
         p.add_argument("--window", default=None, metavar="A:B")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE")
         p.add_argument("--config", default=None, metavar="PATH")

@@ -93,16 +93,30 @@ def normalization_map() -> SimilarityMap:
     return SimilarityMap(1.0 / s, -0.25 * math.pi * math.log(s), 0.0)
 
 
-@dataclass
-class ConvergenceRecord:
-    """One distance measurement: index, parity, distance, nearest angle, mapped point."""
+@dataclass(frozen=True, eq=False)
+class DistanceTable:
+    """Columnar distance measurements: index, distance, nearest angle, mapped point.
 
-    n: int
-    parity: Parity
-    distance: float
-    theta: float
-    point: complex
-    extrapolated: float | None = None
+    Each column is a numpy array with one entry per index; ``n`` is strictly
+    increasing and parity is ``n % 2``.  ``extrapolated`` holds the Richardson
+    value per index, NaN where there is none (all NaN by default).
+    """
+
+    n: np.ndarray
+    distance: np.ndarray
+    theta: np.ndarray
+    point: np.ndarray
+    extrapolated: np.ndarray | None = None
+
+    def __post_init__(self):
+        if np.any(np.diff(self.n) <= 0):
+            raise ValueError("n must be strictly increasing")
+        if self.extrapolated is None:
+            object.__setattr__(self, "extrapolated", np.full(len(self.n), np.nan))
+
+    def select(self, mask: np.ndarray) -> "DistanceTable":
+        """The rows where the boolean mask is true."""
+        return DistanceTable(self.n[mask], self.distance[mask], self.theta[mask], self.point[mask], self.extrapolated[mask])
 
 
 @dataclass
@@ -182,7 +196,7 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
 
     slope = float(np.polyfit(np.log(ns), np.log(residuals + 1e-300), 1)[0])
     motion = RigidMotion(phi, c)
-    means = _parity_means(distance_table(seq, motion, window[1], n_min=window[0]))
+    means = parity_means(distance_table(seq, motion, window[1], n_min=window[0]))
     diag = FitDiagnostics(float(residuals.max()), slope, means)
     return motion, diag
 
@@ -277,11 +291,11 @@ def fit_motion_to_spiral(
 
     phi, cx, cy = result.x
     motion = RigidMotion(float(phi), complex(cx, cy))
-    records = distance_table(seq, motion, window[1], n_min=window[0], spiral=spiral)
+    table = distance_table(seq, motion, window[1], n_min=window[0], spiral=spiral)
     diag = FitDiagnostics(
-        residual_max=float(max(r.distance for r in records)),
+        residual_max=float(table.distance.max()),
         residual_slope=0.0,
-        per_parity_mean=_parity_means(records),
+        per_parity_mean=parity_means(table),
         objective=float(result.fun),
         evaluations=evaluations,
     )
@@ -295,7 +309,7 @@ def distance_table(
     n_min: int | None = None,
     spiral: LogSpiral = TARGET_SPIRAL,
     turns: int = 2,
-) -> list[ConvergenceRecord]:
+) -> DistanceTable:
     """Per-index nearest distances of the mapped, normalized centres.
 
     Each centre is scaled by APPROXIMANT_SCALE, pulled back through the
@@ -306,77 +320,55 @@ def distance_table(
         n_min = seq.first_index
     if not seq.first_index <= n_min <= n_max <= seq.last_index:
         raise ValueError(f"[{n_min}, {n_max}] outside sequence range [{seq.first_index}, {seq.last_index}]")
-    ns = np.arange(n_min, n_max + 1)
     a = APPROXIMANT_SCALE * seq.slice(n_min, n_max)
     w = normalization_map().apply(motion.inverse().apply(a))
     d, theta = nearest_distances(spiral, w, turns=turns)
-    return [
-        ConvergenceRecord(int(n), Parity.of(int(n)), float(dist), float(th), complex(pt))
-        for n, dist, th, pt in zip(ns, d, theta, w)
-    ]
+    return DistanceTable(np.arange(n_min, n_max + 1), d, theta, w)
 
 
-def _parity_means(records: list[ConvergenceRecord]) -> dict[Parity, float]:
-    means = {}
-    for parity in Parity:
-        vals = [r.distance for r in records if r.parity is parity]
-        if vals:
-            means[parity] = float(np.mean(vals))
-    return means
-
-
-def parity_means(records: list[ConvergenceRecord], extrapolated: bool = False) -> dict[Parity, float]:
+def parity_means(table: DistanceTable, extrapolated: bool = False) -> dict[Parity, float]:
     """Mean distance per parity; optionally over extrapolated values only."""
-    if not extrapolated:
-        return _parity_means(records)
+    values = table.extrapolated if extrapolated else table.distance
+    keep = ~np.isnan(values) if extrapolated else True
     means = {}
     for parity in Parity:
-        vals = [r.extrapolated for r in records if r.parity is parity and r.extrapolated is not None]
-        if vals:
-            means[parity] = float(np.mean(vals))
+        sel = values[keep & (table.n % 2 == (parity is Parity.ODD))]
+        if len(sel):
+            means[parity] = float(np.mean(sel))
     return means
 
 
-def richardson_extrapolate(records: list[ConvergenceRecord], stride: int = 2) -> list[ConvergenceRecord]:
+def richardson_extrapolate(table: DistanceTable, stride: int = 2) -> DistanceTable:
     """Eliminate the 1/n tail by pairing each index with one near stride*n.
 
     The partner must have the same parity; when stride*n itself flips
     parity the nearest same-parity neighbour (stride*n +- 1) is used, with
-    the exact two-point elimination (m*d(m) - n*d(n)) / (m - n).  Records
-    without a partner keep extrapolated = None.
+    the exact two-point elimination (m*d(m) - n*d(n)) / (m - n).  Indices
+    without a partner get NaN.
     """
     if stride < 2:
         raise ValueError("stride must be >= 2")
-    by_n = {r.n: r for r in records}
-    out = []
-    for rec in sorted(records, key=lambda r: r.n):
-        partner = None
-        for m in (stride * rec.n, stride * rec.n + 1, stride * rec.n - 1):
-            cand = by_n.get(m)
-            if cand is not None and cand.parity is rec.parity and m != rec.n:
-                partner = cand
-                break
-        if partner is None:
-            out.append(replace(rec))
-            continue
-        m = partner.n
-        value = (m * partner.distance - rec.n * rec.distance) / (m - rec.n)
-        out.append(replace(rec, extrapolated=float(value)))
-    return out
+    n, d = table.n, table.distance
+    extrapolated = np.full(len(n), np.nan)
+    unpaired = np.ones(len(n), dtype=bool)
+    for offset in (0, 1, -1):
+        m = stride * n + offset
+        j = np.minimum(np.searchsorted(n, m), len(n) - 1)
+        hit = unpaired & (n[j] == m) & ((m - n) % 2 == 0) & (m != n)
+        m, j = m[hit], j[hit]
+        extrapolated[hit] = (m * d[j] - n[hit] * d[hit]) / (m - n[hit])
+        unpaired &= ~hit
+    return replace(table, extrapolated=extrapolated)
 
 
-def inner_side_fraction(records: list[ConvergenceRecord], spiral: LogSpiral = TARGET_SPIRAL) -> float:
+def inner_side_fraction(table: DistanceTable, spiral: LogSpiral = TARGET_SPIRAL) -> float:
     """Fraction of mapped points on the spiral's inner side.
 
     A point is inner when it lies left of the tangent direction at its
     nearest spiral point (the side of decreasing radius).
     """
-    if not records:
+    if not table.n.size:
         raise ValueError("no records")
-    inner = 0
-    for rec in records:
-        tangent = complex(spiral.tangent(rec.theta))
-        offset = rec.point - complex(spiral.point(rec.theta))
-        if (tangent.conjugate() * offset).imag > 0.0:
-            inner += 1
-    return inner / len(records)
+    offset = table.point - spiral.point(table.theta)
+    inner = np.count_nonzero((np.conj(spiral.tangent(table.theta)) * offset).imag > 0.0)
+    return inner / table.n.size

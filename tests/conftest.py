@@ -27,7 +27,7 @@ def p_fit(p_seq):
 
 
 @pytest.fixture(scope="session")
-def p_records(p_seq, p_fit):
+def p_table(p_seq, p_fit):
     motion, _ = p_fit
     return distance_table(p_seq, motion, 2000)
 
@@ -44,6 +44,6 @@ def q_fit(q_seq):
 
 
 @pytest.fixture(scope="session")
-def q_records(q_seq, q_fit):
+def q_table(q_seq, q_fit):
     motion, _ = q_fit
     return distance_table(q_seq, motion, 2000)

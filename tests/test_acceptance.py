@@ -132,16 +132,15 @@ def test_criterion_10_offset_curve_distance():
     )
 
 
-def test_criterion_11_headline_constants(p_records, q_records):
+def test_criterion_11_headline_constants(p_table, q_table):
     start = time.perf_counter()
-    p_ex = mt.richardson_extrapolate(p_records, stride=2)
-    p_sel = [r for r in p_ex if 900 <= r.n <= 1000 and r.extrapolated is not None]
-    p_means = mt.parity_means(p_sel, extrapolated=True)
+    p_ex = mt.richardson_extrapolate(p_table, stride=2)
+    p_means = mt.parity_means(p_ex.select((p_ex.n >= 900) & (p_ex.n <= 1000)), extrapolated=True)
     even, odd = p_means[Parity.EVEN], p_means[Parity.ODD]
 
-    q_ex = mt.richardson_extrapolate(q_records, stride=2)
-    q_sel = [r.extrapolated for r in q_ex if 900 <= r.n <= 1000 and r.extrapolated is not None]
-    q_mean = float(np.mean(q_sel))
+    q_ex = mt.richardson_extrapolate(q_table, stride=2)
+    q_sel = q_ex.extrapolated[(q_ex.n >= 900) & (q_ex.n <= 1000)]
+    q_mean = float(np.mean(q_sel[~np.isnan(q_sel)]))
 
     combined = 0.5 * (even + odd)
     amplitude = 0.5 * (even - odd)
@@ -158,9 +157,9 @@ def test_criterion_11_headline_constants(p_records, q_records):
     _report("11-headline-constants", ok, f"{detail} (tol 5e-3), {elapsed:.2f}s")
 
 
-def test_criterion_12_inner_side(p_records, q_records):
-    p_frac = mt.inner_side_fraction([r for r in p_records if 100 <= r.n <= 1000])
-    q_frac = mt.inner_side_fraction([r for r in q_records if 100 <= r.n <= 1000])
+def test_criterion_12_inner_side(p_table, q_table):
+    p_frac = mt.inner_side_fraction(p_table.select((p_table.n >= 100) & (p_table.n <= 1000)))
+    q_frac = mt.inner_side_fraction(q_table.select((q_table.n >= 100) & (q_table.n <= 1000)))
     _report(
         "12-inner-side",
         p_frac == 1.0 and q_frac == 1.0,

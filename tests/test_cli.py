@@ -69,11 +69,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    def test_bad_tolerance_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "verify", "harmonic", "--tolerance", "no-such-name=1")
+    @pytest.mark.parametrize(
+        "pair", ["no-such-name=1", "gap-tolerance", "gap-tolerance=abc", "gap-tolerance=nan", "gap-tolerance=inf"]
+    )
+    def test_bad_tolerance_is_usage_error(self, capsys, pair):
+        code, _, err = run(capsys, "verify", "harmonic", "--tolerance", pair)
         assert code == 2
-        code, _, _ = run(capsys, "verify", "harmonic", "--tolerance", "gap-tolerance")
-        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestFitAndDistances:
@@ -178,8 +180,28 @@ class TestConfigPrecedence:
         code, _, _ = run(capsys, "centers", "--config", str(tmp_path / "none.json"))
         assert code == 3
 
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("centers", "{not json"),
+            ("centers", "[1, 2]"),
+            ("centers", '{"family": "bogus"}'),
+            ("centers", '{"n_max": "abc"}'),
+            ("centers", '{"window": [1]}'),
+            ("centers", '{"format": "xml"}'),
+            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}'),
+            ("fit", '{"n_max": 10}'),  # default window too short for the fit
+            ("fit", '{"family": "odd", "n_max": 20}'),
+            ("distances", '{"n_max": 3}'),
+        ],
+        ids=[
+            "not-json", "not-object", "family", "n-max", "window", "format", "tolerance",
+            "fit-window-all", "fit-window-odd", "distances-n-max-3",
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "run.json"
-        cfg.write_text("{not json")
-        code, _, _ = run(capsys, "centers", "--config", str(cfg))
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
+        assert out == "" and err.startswith("error:")

@@ -162,18 +162,27 @@ class TestSpiralFit:
             mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 1000), init=motion, objective_threshold=1e-30)
 
 
+def _table(ns, distances, thetas=None, points=None):
+    ns = np.asarray(ns, dtype=np.int64)
+    thetas = np.zeros(len(ns)) if thetas is None else thetas
+    points = np.zeros(len(ns), dtype=complex) if points is None else points
+    return mt.DistanceTable(ns, np.asarray(distances, dtype=float), thetas, points)
+
+
+def _between(table, lo, hi):
+    return table.select((table.n >= lo) & (table.n <= hi))
+
+
 class TestDistanceTable:
-    def test_parity_means(self, p_records):
-        tail = [r for r in p_records if r.n >= 1500]
-        means = mt.parity_means(tail)
+    def test_parity_means(self, p_table):
+        means = mt.parity_means(p_table.select(p_table.n >= 1500))
         assert means[Parity.EVEN] == pytest.approx(5.0 / 6.0, abs=5e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 12.0, abs=5e-3)
 
-    def test_parity_constancy(self, p_records):
-        sel = [r.distance for r in p_records if 1000 <= r.n <= 2000 and r.parity is Parity.EVEN]
-        assert float(np.std(sel)) <= 1e-2
-        sel = [r.distance for r in p_records if 1000 <= r.n <= 2000 and r.parity is Parity.ODD]
-        assert float(np.std(sel)) <= 1e-2
+    def test_parity_constancy(self, p_table):
+        window = _between(p_table, 1000, 2000)
+        assert float(np.std(window.distance[window.n % 2 == 0])) <= 1e-2
+        assert float(np.std(window.distance[window.n % 2 == 1])) <= 1e-2
 
     def test_range_guards(self, p_seq, p_fit):
         motion, _ = p_fit
@@ -182,46 +191,61 @@ class TestDistanceTable:
         with pytest.raises(ValueError):
             mt.distance_table(p_seq, motion, 100, n_min=2)
 
-    def test_records_sorted_with_parities(self, p_records):
-        ns = [r.n for r in p_records]
-        assert ns == sorted(ns)
-        for r in p_records[:10]:
-            assert r.parity is Parity.of(r.n)
-            assert r.distance >= 0.0
+    def test_records_sorted_with_parities(self, p_table):
+        assert p_table.n[0] == 3 and p_table.n.size == 1998
+        assert np.all(np.diff(p_table.n) == 1)
+        assert np.all(p_table.distance >= 0.0)
+        assert np.all(np.isnan(p_table.extrapolated))
+
+    def test_rejects_unsorted_indices(self):
+        with pytest.raises(ValueError):
+            _table([10, 20, 11, 23], np.ones(4))
+        with pytest.raises(ValueError):
+            _table([10, 10], np.ones(2))
 
 
 class TestRichardson:
     def test_exact_linear_tail_eliminated(self):
-        records = [
-            mt.ConvergenceRecord(n, Parity.of(n), 0.25 + 3.0 / n, 0.0, 0j)
-            for n in range(10, 81)
-        ]
-        out = mt.richardson_extrapolate(records, stride=2)
-        for rec in out:
-            if rec.extrapolated is not None:
-                assert rec.extrapolated == pytest.approx(0.25, abs=1e-12)
-        assert any(r.extrapolated is not None and r.parity is Parity.ODD for r in out)
-        assert any(r.extrapolated is not None and r.parity is Parity.EVEN for r in out)
+        ns = np.arange(10, 81)
+        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns), stride=2)
+        have = ~np.isnan(out.extrapolated)
+        assert out.extrapolated[have] == pytest.approx(0.25, abs=1e-12)
+        assert np.any(have & (out.n % 2 == 1))
+        assert np.any(have & (out.n % 2 == 0))
 
     def test_partner_parity_respected(self):
-        records = [
-            mt.ConvergenceRecord(n, Parity.of(n), 1.0 + 1.0 / n, 0.0, 0j)
-            for n in (10, 20, 11, 23)
-        ]
-        out = {r.n: r for r in mt.richardson_extrapolate(records, stride=2)}
-        assert out[10].extrapolated is not None  # partner 20
-        assert out[11].extrapolated is not None  # partner 23 (= 2n + 1)
-        assert out[20].extrapolated is None
-        assert out[23].extrapolated is None
+        ns = np.array([10, 11, 20, 23])
+        out = mt.richardson_extrapolate(_table(ns, 1.0 + 1.0 / ns), stride=2)
+        ext = dict(zip(out.n.tolist(), out.extrapolated.tolist()))
+        assert not math.isnan(ext[10])  # partner 20
+        assert not math.isnan(ext[11])  # partner 23 (= 2n + 1)
+        assert math.isnan(ext[20])
+        assert math.isnan(ext[23])
 
     def test_stride_guard(self):
         with pytest.raises(ValueError):
-            mt.richardson_extrapolate([], stride=1)
+            mt.richardson_extrapolate(_table([], []), stride=1)
 
-    def test_extrapolated_headline_values(self, p_records):
-        out = mt.richardson_extrapolate(p_records, stride=2)
-        sel = [r for r in out if 900 <= r.n <= 1000 and r.extrapolated is not None]
-        means = mt.parity_means(sel, extrapolated=True)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.integers(min_value=2, max_value=120), min_size=20, max_size=100),
+        st.integers(min_value=2, max_value=4),
+        st.floats(min_value=0.1, max_value=2.0),
+    )
+    def test_matches_per_index_partner_search(self, indices, stride, scale):
+        ns = sorted(indices)
+        distances = [scale + 1.0 / n + 0.01 * math.sin(n) for n in ns]
+        by_n = dict(zip(ns, distances))
+        expected = []
+        for n, d in zip(ns, distances):
+            m = next((m for m in (stride * n, stride * n + 1, stride * n - 1) if m in by_n and (m - n) % 2 == 0), None)
+            expected.append(math.nan if m is None else (m * by_n[m] - n * d) / (m - n))
+        out = mt.richardson_extrapolate(_table(ns, distances), stride=stride)
+        np.testing.assert_array_equal(out.extrapolated, np.array(expected))
+
+    def test_extrapolated_headline_values(self, p_table):
+        out = mt.richardson_extrapolate(p_table, stride=2)
+        means = mt.parity_means(_between(out, 900, 1000), extrapolated=True)
         assert means[Parity.EVEN] == pytest.approx(5.0 / 6.0, abs=1e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 12.0, abs=1e-3)
 
@@ -232,24 +256,19 @@ class TestInnerSide:
         base = mt.TARGET_SPIRAL.point(thetas)
         tangents = mt.TARGET_SPIRAL.tangent(thetas)
         normals = 1j * tangents / np.abs(tangents)  # left of the tangent
-        records = [
-            mt.ConvergenceRecord(int(i), Parity.of(int(i)), 0.1, float(t), complex(p + 0.1 * nrm))
-            for i, (t, p, nrm) in enumerate(zip(thetas, base, normals))
-        ]
-        assert mt.inner_side_fraction(records) == 1.0
-        flipped = [
-            mt.ConvergenceRecord(r.n, r.parity, r.distance, r.theta, 2 * complex(mt.TARGET_SPIRAL.point(r.theta)) - r.point)
-            for r in records
-        ]
+        table = _table(np.arange(50), np.full(50, 0.1), thetas, base + 0.1 * normals)
+        assert mt.inner_side_fraction(table) == 1.0
+        flipped = _table(table.n, table.distance, thetas, 2 * base - table.point)
         assert mt.inner_side_fraction(flipped) == 0.0
+        mixed = _table(table.n, table.distance, thetas, np.where(table.n % 5 == 0, flipped.point, table.point))
+        assert mt.inner_side_fraction(mixed) == 0.8
 
-    def test_inner_side_from_pipeline(self, p_records):
-        sel = [r for r in p_records if 100 <= r.n <= 1000]
-        assert mt.inner_side_fraction(sel) == 1.0
+    def test_inner_side_from_pipeline(self, p_table):
+        assert mt.inner_side_fraction(_between(p_table, 100, 1000)) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mt.inner_side_fraction([])
+            mt.inner_side_fraction(_table([], []))
 
 
 class TestOddFamilyPipeline:
@@ -257,11 +276,10 @@ class TestOddFamilyPipeline:
         _, diag = q_fit
         assert diag.objective <= 1e-10
 
-    def test_distances_converge(self, q_records):
-        means = mt.parity_means([r for r in q_records if r.n >= 1500])
+    def test_distances_converge(self, q_table):
+        means = mt.parity_means(q_table.select(q_table.n >= 1500))
         assert means[Parity.EVEN] == pytest.approx(7.0 / 24.0, abs=5e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 24.0, abs=5e-3)
 
-    def test_inner_side(self, q_records):
-        sel = [r for r in q_records if 100 <= r.n <= 1000]
-        assert mt.inner_side_fraction(sel) == 1.0
+    def test_inner_side(self, q_table):
+        assert mt.inner_side_fraction(_between(q_table, 100, 1000)) == 1.0
