@@ -61,8 +61,12 @@ class RunConfig:
     overlay: bool = False
     tolerances: dict[str, float] = field(default_factory=dict)
 
+    @property
+    def first_index(self) -> int:
+        return 3 if self.family is Family.ALL_POLYGONS else 2
+
     def validate(self) -> None:
-        first = 3 if self.family is Family.ALL_POLYGONS else 2
+        first = self.first_index
         if not first <= self.n_max <= MAX_N:
             raise UsageError(f"--n-max must be in [{first}, {MAX_N}]")
         if self.window is not None:
@@ -75,7 +79,8 @@ class RunConfig:
     def fit_window(self) -> tuple[int, int]:
         if self.window is not None:
             return self.window
-        return max(3, self.n_max // 4), min(self.n_max, max(4, self.n_max // 2))
+        first = self.first_index
+        return max(first, self.n_max // 4), min(self.n_max, max(first + 1, self.n_max // 2))
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +130,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if "family" in data:
                 cfg.family = Family(data["family"])
             if "n_max" in data:
-                cfg.n_max = int(data["n_max"])
+                if type(data["n_max"]) is not int:  # also rejects true/false
+                    raise ValueError(f"n_max must be a JSON integer, not {data['n_max']!r}")
+                cfg.n_max = data["n_max"]
             if "window" in data:
                 w = data["window"]
                 lo, hi = w.split(":") if isinstance(w, str) else w
@@ -135,7 +142,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if "out" in data:
                 cfg.out = str(data["out"])
             if "extrapolate" in data:
-                cfg.extrapolate = bool(data["extrapolate"])
+                if not isinstance(data["extrapolate"], bool):
+                    raise ValueError(f"extrapolate must be a JSON boolean, not {data['extrapolate']!r}")
+                cfg.extrapolate = data["extrapolate"]
             if "tolerances" in data:
                 cfg.tolerances.update(_tolerance(k, v) for k, v in data["tolerances"].items())
         except (AttributeError, TypeError, ValueError) as exc:

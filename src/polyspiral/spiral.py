@@ -1,9 +1,10 @@
 """Logarithmic spirals and exact nearest-point computation.
 
-The solver seeds the spiral angle from the query point's radius, scans a
-window of whole turns on each side, and refines each candidate with
-bisection on the perpendicularity condition (the tangent at the nearest
-point is orthogonal to the connecting segment).
+The nearest-point solver seeds the spiral angle from the query point's
+radius, runs a fixed number of safeguarded Newton iterations on the squared
+distance from one start per whole turn on each side of that seed, and keeps
+the closest result.  It works on fixed-size blocks of points, so its
+temporary memory does not grow with the input size.
 """
 
 from __future__ import annotations
@@ -57,65 +58,79 @@ def spiral_point(spiral: LogSpiral, theta: float) -> complex:
     return complex(spiral.point(theta))
 
 
-_COARSE = np.linspace(-math.pi, math.pi, 33)
-_BISECT_ITERS = 55
+#: Points solved together; temporaries are (2*turns + 2) x _BLOCK, outputs O(N).
+_BLOCK = 1 << 14
+#: Newton iterations per start, fixed so every point runs the same vector ops.
+_NEWTON_ITERS = 8
+#: Largest angle change of one iteration, in radians.
+_MAX_STEP = 0.5
+_TINY = np.finfo(float).tiny  # keeps 0 / 0 out of a step where g' = 0 and g'' <= 0
 
 
-def _perp(spiral: LogSpiral, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Re[conj(tangent) * (z - point)]; positive before a distance minimum."""
-    return np.real(np.conj(spiral.tangent(theta)) * (z - spiral.point(theta)))
+def _solve_block(spiral: LogSpiral, z: np.ndarray, turns: int) -> tuple[np.ndarray, np.ndarray]:
+    beta, c = spiral.beta, spiral.offset
+    theta_radius = np.log(np.abs(z) + c) / beta
+    arg = np.angle(z)
+    theta0 = arg + TWO_PI * np.round((theta_radius - arg) / TWO_PI)
+    # one row per branch, plus a second start on the centre branch (branch axis, point axis)
+    branches = np.append(np.arange(-turns, turns + 1), 0)
+    centers = theta0 + TWO_PI * branches[:, None]
+    lo, hi = centers - math.pi, centers + math.pi
+    if c > 0.0:
+        lo, hi = np.maximum(lo, spiral.min_theta), np.maximum(hi, spiral.min_theta)
+    theta = np.clip(centers, lo, hi)
+    theta[-1] = theta_radius
+    for _ in range(_NEWTON_ITERS):
+        # g' and g'' in the frame rotated by -theta, where p(theta) is the real r and z is u
+        e = np.exp(beta * theta)
+        r = e - c
+        u = z * np.exp(-1j * theta)
+        qr, ui = r - u.real, u.imag
+        be = beta * e
+        slope = be * qr - r * ui
+        curv = be * be + r * r + ((beta * beta - 1.0) * e + c) * qr - 2.0 * be * ui
+        # a Newton step where g'' > 0 and the step is short, else a descent step of _MAX_STEP
+        step = slope / np.maximum(curv, np.abs(slope) / _MAX_STEP + _TINY)
+        theta = np.minimum(np.maximum(theta - step, lo), hi)
+    d2 = np.abs(z - spiral.point(theta)) ** 2
+    best = np.argmin(d2, axis=0)
+    cols = np.arange(z.size)
+    return np.sqrt(d2[best, cols]), theta[best, cols]
 
 
 def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
     """Vectorized nearest distance and angle from each point of z to the spiral.
 
-    Scans 2*turns + 1 whole turns around the radius-matching seed angle;
-    within each turn the best coarse sample is refined by bisection on the
-    perpendicularity condition.  All turns are batched so the iteration
-    count is independent of the number of points.  Returns (distances,
-    thetas).
+    Seeds: theta0 is the angle on the ray through the point at the turn
+    whose radius best matches the point's modulus.  Branch k, for k in
+    [-turns, turns], covers the angles within pi of theta0 + 2*pi*k and
+    starts at that centre.  The centre branch starts a second time at the
+    radius-matching angle log(|z| + offset) / beta itself, which matters
+    where the curve is far from self-similar: near the origin of an offset
+    spiral, or on a steep spiral.
+
+    Each start runs _NEWTON_ITERS Newton iterations on
+    g(theta) = |z - p(theta)|^2 / 2.  Safeguards: a step is at most
+    _MAX_STEP radians; where g'' <= 0 a descent step of _MAX_STEP replaces
+    the Newton step; iterates are clamped to their branch and, for an
+    offset spiral, to theta >= min_theta.  The start with the smallest
+    distance wins.  Points are solved _BLOCK at a time, so temporaries are
+    O(_BLOCK * turns) and only the outputs grow with the number of points.
+
+    Checked against dense angle sampling for beta from 0.05 to 3, offsets
+    up to 100 and moduli over 22 e-folds; a steeper spiral may need more
+    iterations.  Returns (distances, thetas).
     """
     if turns < 1:
         raise ValueError("turns must be >= 1")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z == 0):
         raise ValueError("points must be nonzero (the curve accumulates at the origin)")
-
-    radius = np.abs(z)
-    arg = np.angle(z)
-    theta_radius = np.log(radius + spiral.offset) / spiral.beta
-    theta0 = arg + TWO_PI * np.round((theta_radius - arg) / TWO_PI)
-
-    offsets = TWO_PI * np.arange(-turns, turns + 1)
-    centers = theta0[None, :] + offsets[:, None]  # (turns axis, point axis)
-    grid = centers[:, None, :] + _COARSE[None, :, None]
-    if spiral.offset > 0.0:
-        grid = np.maximum(grid, spiral.min_theta)
-    d2 = np.abs(z[None, None, :] - spiral.point(grid)) ** 2
-    pick = np.argmin(d2, axis=1)
-    rows, cols = np.indices(pick.shape)
-    d2_pick = d2[rows, pick, cols]
-    theta_pick = grid[rows, pick, cols]
-
-    lo = grid[rows, np.maximum(pick - 1, 0), cols]
-    hi = grid[rows, np.minimum(pick + 1, len(_COARSE) - 1), cols]
-    bracketed = (_perp(spiral, z, lo) > 0.0) & (_perp(spiral, z, hi) < 0.0)
-
-    a, b = lo, hi
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        take_hi = _perp(spiral, z, mid) > 0.0
-        a = np.where(take_hi, mid, a)
-        b = np.where(take_hi, b, mid)
-    theta_ref = 0.5 * (a + b)
-    d2_ref = np.abs(z[None, :] - spiral.point(theta_ref)) ** 2
-
-    use_ref = bracketed & (d2_ref < d2_pick)
-    cand_d2 = np.where(use_ref, d2_ref, d2_pick)
-    cand_theta = np.where(use_ref, theta_ref, theta_pick)
-    best = np.argmin(cand_d2, axis=0)
-    cols = np.arange(z.size)
-    return np.sqrt(cand_d2[best, cols]), cand_theta[best, cols]
+    distances = np.empty(z.shape)
+    thetas = np.empty(z.shape)
+    for i in range(0, z.size, _BLOCK):
+        distances[i : i + _BLOCK], thetas[i : i + _BLOCK] = _solve_block(spiral, z[i : i + _BLOCK], turns)
+    return distances, thetas
 
 
 def nearest_distance(spiral: LogSpiral, z: complex, turns: int = 2) -> tuple[float, float]:

@@ -119,6 +119,11 @@ class TestFitAndDistances:
         code, _, _ = run(capsys, "distances", "--n-max", "100", "--window", "banana")
         assert code == 2
 
+    def test_odd_family_default_window_too_short(self, capsys):
+        code, out, err = run(capsys, "distances", "--family", "odd", "--n-max", "2")
+        assert code == 2
+        assert out == "" and err.startswith("error: fit window 2:2: window length must be >= 16")
+
     def test_spiral_route_rejected_for_odd_approximant(self, capsys):
         code, _, err = run(capsys, "fit", "--family", "odd", "--n-max", "100", "--route", "approximant")
         assert code == 2
@@ -187,6 +192,9 @@ class TestConfigPrecedence:
             ("centers", "[1, 2]"),
             ("centers", '{"family": "bogus"}'),
             ("centers", '{"n_max": "abc"}'),
+            ("centers", '{"n_max": 5.9}'),
+            ("centers", '{"n_max": true}'),
+            ("distances", '{"n_max": 40, "extrapolate": "false"}'),
             ("centers", '{"window": [1]}'),
             ("centers", '{"format": "xml"}'),
             ("centers", '{"tolerances": {"gap-tolerance": "nan"}}'),
@@ -195,7 +203,8 @@ class TestConfigPrecedence:
             ("distances", '{"n_max": 3}'),
         ],
         ids=[
-            "not-json", "not-object", "family", "n-max", "window", "format", "tolerance",
+            "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
+            "window", "format", "tolerance",
             "fit-window-all", "fit-window-odd", "distances-n-max-3",
         ],
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,28 @@ from polyspiral import spiral as sp
 
 BETA = 4.0 / math.pi
 BASE = sp.LogSpiral(BETA, 0.0)
+
+
+def sampled_min(spiral, z, lo, hi, samples=20001, zooms=5):
+    """Smallest sampled distance from each point of z to the spiral over [lo, hi].
+
+    Samples the angle range densely, then repeatedly resamples a small
+    interval around the best sample; derivative-free and independent of
+    the solver.
+    """
+    z = np.asarray(z, dtype=complex)[:, None]
+    lo, hi = np.broadcast_to(lo, z.shape[:1])[:, None], np.broadcast_to(hi, z.shape[:1])[:, None]
+    theta = lo + (hi - lo) * np.linspace(0.0, 1.0, samples)
+    best = np.full(z.shape[0], np.inf)
+    rows = np.arange(z.shape[0])
+    for _ in range(zooms + 1):
+        theta = np.maximum(theta, spiral.min_theta)
+        d = np.abs(z - spiral.point(theta))
+        pick = np.argmin(d, axis=1)
+        best = np.minimum(best, d[rows, pick])
+        spacing = (theta[:, -1] - theta[:, 0]) / (theta.shape[1] - 1)
+        theta = theta[rows, pick][:, None] + 2.0 * spacing[:, None] * np.linspace(-1.0, 1.0, 2001)
+    return best
 
 
 class TestLogSpiral:
@@ -89,6 +112,69 @@ class TestNearestDistance:
             d, theta = sp.nearest_distance(BASE, complex(z))
             assert ds[i] == pytest.approx(d, abs=1e-12)
             assert thetas[i] == pytest.approx(theta, abs=1e-9)
+
+
+class TestNewtonSolver:
+    def test_far_field_matches_sampled_minimum(self, p_table):
+        rng = np.random.default_rng(7)
+        radius = np.geomspace(1e2, 1e10, 60)
+        synthetic = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
+        z = np.concatenate([p_table.point[::10], synthetic])
+        d, _ = sp.nearest_distances(BASE, z)
+        seed = np.log(np.abs(z)) / BETA
+        oracle = sampled_min(BASE, z, seed - 3.0 * math.pi, seed + 3.0 * math.pi)
+        assert np.all(d <= oracle + np.abs(z) * 1e-14)
+
+    def test_offset_spiral_with_seeds_below_min_theta(self):
+        spiral = sp.LogSpiral(BETA, 1.0)  # min_theta = 0
+        rng = np.random.default_rng(8)
+        radius = rng.uniform(0.01, 0.5, 40)
+        arg = rng.uniform(-math.pi + 0.1, -0.1, 40)
+        z = radius * np.exp(1j * arg)
+        # the seed sits on the ray through z at the radius-matching turn: here at arg < 0
+        seed = arg + 2.0 * math.pi * np.round((np.log(radius + 1.0) / BETA - arg) / (2.0 * math.pi))
+        assert np.all(seed < spiral.min_theta)
+        d, theta = sp.nearest_distances(spiral, z)
+        assert np.all(theta >= spiral.min_theta)
+        oracle = sampled_min(spiral, z, spiral.min_theta, spiral.min_theta + 4.0 * math.pi)
+        assert np.max(np.abs(d - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "beta, offset",
+        [(BETA, 0.0), (BETA, 0.3), (BETA, 1.0), (3.0, 0.0), (3.0, 1.0)],
+        ids=["base", "offset-0.3", "offset-1", "steep", "steep-offset-1"],
+    )
+    def test_matches_sampled_minimum_across_scales(self, beta, offset):
+        spiral = sp.LogSpiral(beta, offset)
+        rng = np.random.default_rng(11)
+        radius = max(offset, 1.0) * np.exp(rng.uniform(-6.0, 6.0, 200))
+        z = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
+        d, _ = sp.nearest_distances(spiral, z)
+        seed = np.log(radius + offset) / beta
+        oracle = sampled_min(spiral, z, seed - 4.0 * math.pi, seed + 4.0 * math.pi)
+        assert np.all(d <= oracle + 1e-13 * np.maximum(radius, 1.0))
+
+    def test_block_boundary(self):
+        rng = np.random.default_rng(9)
+        n = sp._BLOCK + 3
+        z = rng.uniform(0.5, 1e3, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        ds, thetas = sp.nearest_distances(BASE, z)
+        edge = [0, 1, sp._BLOCK - 2, sp._BLOCK - 1, sp._BLOCK, sp._BLOCK + 1, sp._BLOCK + 2]
+        for i in edge + list(range(2, sp._BLOCK - 2, 97)):
+            d, theta = sp.nearest_distance(BASE, complex(z[i]))
+            assert abs(ds[i] - d) <= 1e-12
+            assert abs(thetas[i] - theta) <= 1e-12
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(10)
+        z = rng.uniform(1.0, 1e6, 10**5) * np.exp(1j * rng.uniform(-math.pi, math.pi, 10**5))
+        tracemalloc.start()
+        try:
+            sp.nearest_distances(BASE, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestOffsetProfile:
