@@ -2,8 +2,9 @@
 
 Harmonic-sum expansions, Euler-Maclaurin corrections at orders 1 and 3,
 the three complex power sums with their closed asymptotic forms, the
-two-parameter asymptotic family the centres follow, and the radial gap
-between a point and the spiral r = exp(4*theta/pi).
+two-parameter asymptotic family the centres of both chains follow (one
+approximant table, APPROXIMANTS), the radial gap between a point and the
+spiral r = exp(4*theta/pi), and the limiting distances.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .geometry import Family
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -43,10 +47,6 @@ def power_sum_weights() -> tuple[complex, complex, complex]:
 class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
-
-    @classmethod
-    def of(cls, n: int) -> "Parity":
-        return cls.EVEN if n % 2 == 0 else cls.ODD
 
 
 @dataclass(frozen=True)
@@ -80,29 +80,27 @@ B1 = BernoulliPoly(1, (Fraction(-1, 2), Fraction(1)))
 B3 = BernoulliPoly(3, (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(1)))
 
 
-@dataclass(frozen=True)
-class ApproximantCoefficients:
-    """Constant-term coefficients of the centre approximant, by parity.
+class Approximant(NamedTuple):
+    """Centre approximant of one family: scale^(1+i*pi/4) * asymptotic_form(n - shift, 1/4, b).
 
-    The complex constant is a + b*(pi/4)*i with a = 1/4 for both parities
-    and b = 43/6 (even) or 31/6 (odd).
+    b is b_even for even n and b_odd for odd n.  The factor
+    scale^(1+i*pi/4) = scale * exp(i*(pi/4)*log(scale)) maps the spiral
+    r = exp(4*theta/pi) onto itself, so it scales every distance by scale.
     """
 
-    parity: Parity
-    a: Fraction = Fraction(1, 4)
-    b: Fraction = Fraction(0)
+    scale: Fraction
+    shift: Fraction
+    b_even: Fraction
+    b_odd: Fraction
 
-    @classmethod
-    def for_parity(cls, parity: Parity) -> "ApproximantCoefficients":
-        b = Fraction(43, 6) if parity is Parity.EVEN else Fraction(31, 6)
-        return cls(parity, Fraction(1, 4), b)
 
-    @classmethod
-    def for_index(cls, n: int) -> "ApproximantCoefficients":
-        return cls.for_parity(Parity.of(n))
-
-    def constant(self) -> complex:
-        return complex(float(self.a), float(self.b) * math.pi / 4.0)
+#: One approximant per family; the constant term is 1/4 + b*(pi/4)*i throughout.
+APPROXIMANTS = MappingProxyType(
+    {
+        Family.ALL_POLYGONS: Approximant(Fraction(1), Fraction(1, 2), Fraction(43, 6), Fraction(31, 6)),
+        Family.ODD_POLYGONS: Approximant(Fraction(2), Fraction(0), Fraction(5, 3), Fraction(5, 3)),
+    }
+)
 
 
 def harmonic_expansion(n: int) -> float:
@@ -180,18 +178,8 @@ def _validate_power_sum_args(p: int, n: int, alternating: bool) -> None:
         raise ValueError("alternating sums only exist for p = 0")
 
 
-def power_sum_exact(p: int, n: int, alternating: bool = False) -> complex:
-    """Direct summation of sum_{k=2}^{n-1} (+-1)^k (k + 1/2)^(p + i*pi/2)."""
-    _validate_power_sum_args(p, n, alternating)
-    k = np.arange(2, n, dtype=float)
-    terms = np.exp((p + LOG_TWIST) * np.log(k + 0.5))
-    if alternating:
-        terms = terms * np.where(np.arange(2, n) % 2 == 0, 1.0, -1.0)
-    return complex(np.sum(terms))
-
-
 def power_sum_prefix(p: int, n_max: int, alternating: bool = False) -> np.ndarray:
-    """power_sum_exact(p, n) for every n = 3..n_max (cumulative sweep)."""
+    """sum_{k=2}^{n-1} (+-1)^k (k + 1/2)^(p + i*pi/2) for every n = 3..n_max."""
     _validate_power_sum_args(p, n_max, alternating)
     k = np.arange(2, n_max, dtype=float)
     terms = np.exp((p + LOG_TWIST) * np.log(k + 0.5))
@@ -226,8 +214,8 @@ def power_sum_closed(p: int, n, alternating: bool = False):
 def asymptotic_form(t: float, a: float, b: float) -> complex:
     """The two-parameter family t^(2+ipi/2) + (1+ipi/4)(t^(1+ipi/2) + (a+b*ipi/4) t^(ipi/2)).
 
-    Defined for t > 0 via the real logarithm; the centre approximant is the
-    (a, b) = (1/4, 43/6 or 31/6) member evaluated at t = n - 1/2.
+    Defined for t > 0 via the real logarithm; the centre approximants are
+    a = 1/4 members of it (see APPROXIMANTS).
     """
     if np.any(np.asarray(t) <= 0.0):
         raise ValueError("t must be > 0")
@@ -238,19 +226,29 @@ def asymptotic_form(t: float, a: float, b: float) -> complex:
     return complex(value) if value.ndim == 0 else value
 
 
-def approximant(n) -> complex:
-    """Centre approximant at index n: the asymptotic family at t = n - 1/2.
+def approximant(n, family: Family):
+    """Centre approximant of the family at index (or index array) n; see Approximant.
 
-    Constant coefficient 1/4 + (37/24 + (-1)^n/4) * pi * i, i.e. b = 43/6
-    for even n and 31/6 for odd n.
+    For the all-polygon family this is the asymptotic family at t = n - 1/2
+    with b = 43/6 (even n) or 31/6 (odd n); for the odd-polygon family it is
+    2^(1+i*pi/4) times the member b = 5/3 at t = n.
     """
-    if np.ndim(n) == 0:
-        if n < 3:
-            raise ValueError("n must be >= 3")
-        return asymptotic_form(n - 0.5, 0.25, float(ApproximantCoefficients.for_index(int(n)).b))
+    scale, shift, b_even, b_odd = APPROXIMANTS[family]
     n = np.asarray(n)
-    b = np.where(n % 2 == 0, float(Fraction(43, 6)), float(Fraction(31, 6)))
-    return asymptotic_form(n.astype(float) - 0.5, 0.25, b)
+    b = np.where(n % 2 == 0, float(b_even), float(b_odd))
+    return float(scale) ** (1.0 + 0.25j * math.pi) * asymptotic_form(n - float(shift), 0.25, b)
+
+
+def limit_distance(family: Family, parity: Parity) -> float:
+    """Limiting centre-to-spiral distance: scale * (b - 1/2) / 8.
+
+    That is scale * |gap_limit(b)| over the normalization modulus
+    2*pi*sqrt(1 + pi^2/16), times 1/sqrt(1 + GROWTH_RATE^2) to turn the
+    radial gap into a normal distance.  It gives 5/6, 7/12 and 7/24.
+    """
+    scale, _, b_even, b_odd = APPROXIMANTS[family]
+    b = b_even if parity is Parity.EVEN else b_odd
+    return float(scale * (b - Fraction(1, 2)) / 8)
 
 
 def unwrap_angle(z: complex, theta_hint: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .asymptotics import Parity
+from .asymptotics import Parity, limit_distance
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     APPROXIMANT_SCALE,
@@ -39,11 +39,6 @@ MAX_N = 10**6
 FORMATS = ("csv", "json")
 
 _PARITY = (Parity.EVEN.value, Parity.ODD.value)
-
-TARGETS = {
-    Family.ALL_POLYGONS: {Parity.EVEN: 5.0 / 6.0, Parity.ODD: 7.0 / 12.0},
-    Family.ODD_POLYGONS: {Parity.EVEN: 7.0 / 24.0, Parity.ODD: 7.0 / 24.0},
-}
 
 
 class UsageError(Exception):
@@ -219,15 +214,9 @@ def _fit(cfg: RunConfig, route: str) -> tuple[RigidMotion, dict]:
     seq = _sequence(cfg)
     window = cfg.fit_window()
     try:
-        if route == "approximant":
-            if cfg.family is not Family.ALL_POLYGONS:
-                raise UsageError("the approximant route only exists for --family all")
-            motion, diag = fit_motion_to_approximant(seq, window)
-        else:
-            init = None
-            if cfg.family is Family.ALL_POLYGONS:
-                init, _ = fit_motion_to_approximant(seq, window)
-            motion, diag = fit_motion_to_spiral(seq, TARGET_SPIRAL, window, init=init)
+        motion, diag = fit_motion_to_approximant(seq, window)
+        if route == "spiral":
+            motion, diag = fit_motion_to_spiral(seq, TARGET_SPIRAL, window, init=motion)
     except ValueError as exc:  # the fits reject windows too short for them
         raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
     info = {
@@ -249,12 +238,8 @@ def cmd_fit(cfg: RunConfig, route: str) -> int:
     return 0
 
 
-def _default_route(cfg: RunConfig) -> str:
-    return "approximant" if cfg.family is Family.ALL_POLYGONS else "spiral"
-
-
 def _summary(cfg: RunConfig, table: DistanceTable) -> list[tuple[str, float]]:
-    targets = TARGETS[cfg.family]
+    targets = {parity: limit_distance(cfg.family, parity) for parity in Parity}
     raw = parity_means(table.select(table.n >= int(0.8 * table.n[-1])))
     pairs = []
     for parity, mean in raw.items():
@@ -269,14 +254,13 @@ def _summary(cfg: RunConfig, table: DistanceTable) -> list[tuple[str, float]]:
                 pairs.append(("extrapolated_combined_mean", 0.5 * (ext[Parity.EVEN] + ext[Parity.ODD])))
                 pairs.append(("extrapolated_alternation", 0.5 * (ext[Parity.EVEN] - ext[Parity.ODD])))
     if cfg.family is Family.ALL_POLYGONS:
-        pairs.append(("target_combined_mean", 17.0 / 24.0))
-        pairs.append(("target_alternation", 1.0 / 8.0))
+        pairs.append(("target_combined_mean", 0.5 * (targets[Parity.EVEN] + targets[Parity.ODD])))
+        pairs.append(("target_alternation", 0.5 * (targets[Parity.EVEN] - targets[Parity.ODD])))
     pairs.append(("inner_side_fraction", inner_side_fraction(table)))
     return pairs
 
 
-def cmd_distances(cfg: RunConfig, route: str | None) -> int:
-    route = route or _default_route(cfg)
+def cmd_distances(cfg: RunConfig, route: str) -> int:
     motion, info = _fit(cfg, route)
     seq = _sequence(cfg)
     table = distance_table(seq, motion, cfg.n_max)
@@ -349,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("fit", help="fit the rigid motion")
-    p.add_argument("--route", choices=["approximant", "spiral"], default=None)
+    p.add_argument("--route", choices=["approximant", "spiral"], default="approximant")
     add_common(p)
 
     p = sub.add_parser("distances", help="emit the convergence table")
-    p.add_argument("--route", choices=["approximant", "spiral"], default=None)
+    p.add_argument("--route", choices=["approximant", "spiral"], default="approximant")
     p.add_argument("--extrapolate", action="store_true")
     add_common(p)
 
@@ -372,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suites)
         if args.command == "fit":
-            return cmd_fit(cfg, args.route or _default_route(cfg))
+            return cmd_fit(cfg, args.route)
         if args.command == "distances":
             return cmd_distances(cfg, args.route)
         if args.command == "render":

@@ -2,8 +2,9 @@
 
 The centre sequences approach the spiral r = exp(4*theta/pi) only after an
 unknown orientation-preserving isometry.  Two estimation routes are
-implemented: a direct fit against the closed-form centre approximant, and
-a derivative-free fit that makes the nearest-distance profile constant
+implemented for both families: a direct fit against the family's
+closed-form centre approximant, and a cross-check that polishes a given
+motion with Nelder-Mead until the nearest-distance profile is constant
 within each parity class.  The distance table, Richardson extrapolation
 and the inner-side classification consume the fitted motion.
 """
@@ -161,7 +162,7 @@ def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: 
 
 
 def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[RigidMotion, FitDiagnostics]:
-    """Estimate the motion aligning scaled centres with the centre approximant.
+    """Estimate the motion aligning scaled centres with the family's centre approximant.
 
     The rotation starts from the circular mean of the step-direction ratios
     between the two sequences and the translation from the mean leftover;
@@ -173,7 +174,7 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
     if len(ns) < 8:
         raise ValueError("window length must be >= 8")
     a = APPROXIMANT_SCALE * centers
-    b = approximant(ns)
+    b = approximant(ns, seq.family)
     ratios = np.diff(a) / np.diff(b)
     # a one-index shift inflates step magnitudes by 1/n, far above the
     # O(1/n^2) level of an aligned sequence; only separable for large starts
@@ -201,8 +202,6 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
     return motion, diag
 
 
-_PHI_STARTS = tuple(i * math.pi / 4.0 for i in range(8))
-_WIDE_STEPS = (0.15, 2.0, 2.0)
 _POLISH_STEPS = (1e-4, 1e-2, 1e-2)
 
 
@@ -218,35 +217,19 @@ def _parity_variance_objective(params, a: np.ndarray, parities: np.ndarray, spir
     return total
 
 
-def _run_simplex(objective, x0, maxfev: int, steps=_WIDE_STEPS):
-    simplex = np.array([x0] + [[x0[k] + (steps[k] if i == k else 0.0) for k in range(3)] for i in range(3)])
-    return minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "fatol": 1e-12,
-            "xatol": 1e-10,
-            "maxfev": maxfev,
-            "maxiter": maxfev,
-        },
-    )
-
-
 def fit_motion_to_spiral(
     seq: CenterSequence,
     spiral: LogSpiral,
     window: tuple[int, int],
-    init: RigidMotion | None = None,
+    init: RigidMotion,
     objective_threshold: float = 1e-4,
 ) -> tuple[RigidMotion, FitDiagnostics]:
-    """Estimate the motion that makes nearest distances parity-constant.
+    """Polish a motion until nearest distances are parity-constant.
 
     Minimizes the summed within-parity variance of the normalized mapped
-    points' nearest distances with a Nelder-Mead simplex.  Without an
-    initial motion, an eight-point rotation grid is screened on a window
-    subsample and the best start is polished on the full window.
+    points' nearest distances with a Nelder-Mead simplex started at init
+    (in practice the approximant fit), steps 1e-4 in rotation and 1e-2 in
+    translation.  Used as an independent cross-check of that fit.
     """
     ns, centers = _window_slice(seq, window)
     if len(ns) < 16:
@@ -254,38 +237,15 @@ def fit_motion_to_spiral(
     a = APPROXIMANT_SCALE * centers
     parities = ns % 2
 
-    evaluations = 0
-    if init is not None:
-        start = (init.rotation, init.translation.real, init.translation.imag)
-        polish_steps = _POLISH_STEPS
-    else:
-        thin = max(1, len(ns) // 24)
-        mid = max(1, len(ns) // 72)
-
-        def thin_objective(params):
-            return _parity_variance_objective(params, a[::thin], parities[::thin], spiral, turns=1)
-
-        def mid_objective(params):
-            return _parity_variance_objective(params, a[::mid], parities[::mid], spiral, turns=1)
-
-        screened = []
-        for phi0 in _PHI_STARTS:
-            res = _run_simplex(thin_objective, (phi0, 0.0, 0.0), maxfev=150)
-            evaluations += res.nfev
-            screened.append((res.fun, tuple(res.x)))
-        converged = []
-        for _, x0 in sorted(screened)[:2]:
-            res = _run_simplex(mid_objective, x0, maxfev=2500)
-            evaluations += res.nfev
-            converged.append((res.fun, tuple(res.x)))
-        start = min(converged)[1]
-        polish_steps = _POLISH_STEPS
-
-    def objective(params):
-        return _parity_variance_objective(params, a, parities, spiral, turns=1)
-
-    result = _run_simplex(objective, start, maxfev=10_000, steps=polish_steps)
-    evaluations += result.nfev
+    x0 = (init.rotation, init.translation.real, init.translation.imag)
+    simplex = np.array([x0] + [[x0[k] + (_POLISH_STEPS[k] if i == k else 0.0) for k in range(3)] for i in range(3)])
+    result = minimize(
+        _parity_variance_objective,
+        x0,
+        args=(a, parities, spiral, 1),
+        method="Nelder-Mead",
+        options={"initial_simplex": simplex, "fatol": 1e-12, "xatol": 1e-10, "maxfev": 10_000, "maxiter": 10_000},
+    )
     if result.fun > objective_threshold:
         raise FitError(f"no consistent motion: best objective {result.fun:.3e} > {objective_threshold:.3e}")
 
@@ -297,7 +257,7 @@ def fit_motion_to_spiral(
         residual_slope=0.0,
         per_parity_mean=parity_means(table),
         objective=float(result.fun),
-        evaluations=evaluations,
+        evaluations=result.nfev,
     )
     return motion, diag
 

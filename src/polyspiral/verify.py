@@ -14,7 +14,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from .geometry import CenterSequence, centers_all
-from .metrics import APPROXIMANT_SCALE, fit_motion_to_approximant
+from .metrics import APPROXIMANT_SCALE, NORMALIZATION_MODULUS, fit_motion_to_approximant
 from .spiral import offset_distance_profile
 
 DEFAULT_TOLERANCES = {
@@ -194,7 +194,13 @@ def suite_power_sums(n_max: int = 5000, tolerances: dict | None = None) -> list[
     return results
 
 
-GAP_CASES = ((0.0, 0.5), (0.25, 43.0 / 6.0), (0.25, 31.0 / 6.0))
+#: The balanced member b = 1/2 (zero gap) and every approximant constant.
+GAP_CASES = ((0.0, 0.5),) + tuple(
+    sorted({(0.25, float(b)) for approx in asym.APPROXIMANTS.values() for b in (approx.b_even, approx.b_odd)})
+)
+
+#: Relative agreement required of limit_distance and its gap_limit derivation.
+LIMIT_DISTANCE_RTOL = 1e-14
 
 
 def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
@@ -225,13 +231,30 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
     )
 
     spread = 0.0
-    for b in (0.5, 43.0 / 6.0, 31.0 / 6.0):
+    for _, b in GAP_CASES:
         gaps = [
             asym.spiral_gap(asym.asymptotic_form(1e4, a, b), 0.5 * math.pi * math.log(1e4)) for a in (0.0, 0.25, 1.0)
         ]
         spread = max(spread, max(gaps) - min(gaps))
     results.append(
         CheckResult("gap-a-independence", spread <= tol_a, tol_a - spread, f"max spread over a {spread:.3e}")
+    )
+
+    worst = 0.0
+    for family, approx in asym.APPROXIMANTS.items():
+        for parity, b in ((asym.Parity.EVEN, approx.b_even), (asym.Parity.ODD, approx.b_odd)):
+            derived = float(approx.scale) * abs(asym.gap_limit(float(b))) / (
+                NORMALIZATION_MODULUS * math.sqrt(1.0 + asym.GROWTH_RATE**2)
+            )
+            limit = asym.limit_distance(family, parity)
+            worst = max(worst, abs(derived - limit) / limit)
+    results.append(
+        CheckResult(
+            "limit-distance-from-gap",
+            worst <= LIMIT_DISTANCE_RTOL,
+            LIMIT_DISTANCE_RTOL - worst,
+            f"max relative |scale*|gap_limit|/(s*sqrt(1+beta^2)) - limit_distance| {worst:.3e}",
+        )
     )
     return results
 
@@ -244,7 +267,7 @@ def suite_approximant(seq: CenterSequence | None = None, window: tuple[int, int]
     motion, _ = fit_motion_to_approximant(seq, window)
     ns = np.arange(window[0], window[1] + 1)
     a = APPROXIMANT_SCALE * seq.slice(*window)
-    b = asym.approximant(ns)
+    b = asym.approximant(ns, seq.family)
     residual = np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))
     worst = float((ns * residual).max())
     return [

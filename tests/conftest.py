@@ -40,7 +40,13 @@ def p_spiral_fit(p_seq, p_fit):
 
 @pytest.fixture(scope="session")
 def q_fit(q_seq):
-    return fit_motion_to_spiral(q_seq, TARGET_SPIRAL, (500, 1000))
+    return fit_motion_to_approximant(q_seq, (500, 1000))
+
+
+@pytest.fixture(scope="session")
+def q_spiral_fit(q_seq, q_fit):
+    motion, _ = q_fit
+    return fit_motion_to_spiral(q_seq, TARGET_SPIRAL, (500, 1000), init=motion)
 
 
 @pytest.fixture(scope="session")

@@ -90,7 +90,7 @@ def test_criterion_08_approximant_residual_rate(p_seq, p_fit):
     motion, _ = p_fit
     ns = np.arange(500, 1001)
     a = mt.APPROXIMANT_SCALE * p_seq.slice(500, 1000)
-    b = asym.approximant(ns)
+    b = asym.approximant(ns, geo.Family.ALL_POLYGONS)
     worst = float((ns * np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))).max())
     elapsed = time.perf_counter() - start
     _report(
@@ -167,17 +167,18 @@ def test_criterion_12_inner_side(p_table, q_table):
     )
 
 
-def test_criterion_13_cross_route_agreement(p_fit, p_spiral_fit):
-    _, diag_a = p_fit
-    _, diag_s = p_spiral_fit
+def test_criterion_13_cross_route_agreement(p_fit, p_spiral_fit, q_fit, q_spiral_fit):
+    fits = {"all": (p_fit, p_spiral_fit), "odd": (q_fit, q_spiral_fit)}
     diffs = {
-        parity.value: abs(diag_a.per_parity_mean[parity] - diag_s.per_parity_mean[parity]) for parity in Parity
+        f"{family}-{parity.value}": abs(approx[1].per_parity_mean[parity] - spiral[1].per_parity_mean[parity])
+        for family, (approx, spiral) in fits.items()
+        for parity in Parity
     }
     ok = all(v <= 5e-3 for v in diffs.values())
     _report(
         "13-cross-route-agreement",
         ok,
-        f"parity mean differences even {diffs['even']:.2e}, odd {diffs['odd']:.2e} (tol 5e-3)",
+        "parity mean differences " + ", ".join(f"{k} {v:.2e}" for k, v in diffs.items()) + " (tol 5e-3)",
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyspiral import asymptotics as asym
 from polyspiral import geometry as geo
+from polyspiral.geometry import Family
 
 
 class TestHarmonicExpansions:
@@ -130,25 +131,26 @@ class TestEulerMaclaurin:
 
 class TestPowerSums:
     def test_single_term(self):
+        # prefix[n - 3] is the sum up to k = n - 1; n = 3 is the single term k = 2
         expected = cmath.exp((1 + 0.5j * math.pi) * math.log(2.5))
-        assert asym.power_sum_exact(1, 3) == pytest.approx(expected, abs=1e-15)
-        assert asym.power_sum_exact(1, 3) == pytest.approx(
+        assert asym.power_sum_prefix(1, 3)[0] == pytest.approx(expected, abs=1e-15)
+        assert asym.power_sum_prefix(1, 3)[0] == pytest.approx(
             complex(0.3277790861614548, 2.4784190264511693), abs=1e-14
         )
 
     def test_alternating_two_terms(self):
         # signs (+, -) for k = 2, 3
-        assert asym.power_sum_exact(0, 4, alternating=True) == pytest.approx(
+        assert asym.power_sum_prefix(0, 4, alternating=True)[4 - 3] == pytest.approx(
             complex(0.5178011434198642, 0.0691576433474505), abs=1e-14
         )
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
-            asym.power_sum_exact(1, 10, alternating=True)
+            asym.power_sum_prefix(1, 10, alternating=True)
         with pytest.raises(ValueError):
-            asym.power_sum_exact(2, 10)
+            asym.power_sum_prefix(2, 10)
         with pytest.raises(ValueError):
-            asym.power_sum_exact(1, 2)
+            asym.power_sum_prefix(1, 2)
         with pytest.raises(ValueError):
             asym.power_sum_closed(0, 10, alternating=False)
 
@@ -171,32 +173,62 @@ class TestPowerSums:
 
     def test_prefix_matches_scalar(self):
         prefix = asym.power_sum_prefix(1, 50)
-        assert prefix[47 - 3] == pytest.approx(asym.power_sum_exact(1, 47), abs=1e-12)
+        direct = sum(cmath.exp((1 + 0.5j * math.pi) * math.log(k + 0.5)) for k in range(2, 47))
+        assert prefix[47 - 3] == pytest.approx(direct, abs=1e-12)
 
 
 class TestApproximant:
     def test_parity_coefficients(self):
-        even = asym.ApproximantCoefficients.for_index(4)
-        odd = asym.ApproximantCoefficients.for_index(5)
-        assert even.b == Fraction(43, 6) and odd.b == Fraction(31, 6)
-        assert even.b - odd.b == 2
-        assert even.a == odd.a == Fraction(1, 4)
-        assert even.constant() == pytest.approx(0.25 + (43.0 / 24.0) * math.pi * 1j, abs=1e-15)
-        assert odd.constant() == pytest.approx(0.25 + (31.0 / 24.0) * math.pi * 1j, abs=1e-15)
+        all_family = asym.APPROXIMANTS[Family.ALL_POLYGONS]
+        assert all_family == (1, Fraction(1, 2), Fraction(43, 6), Fraction(31, 6))
+        assert all_family.b_even - all_family.b_odd == 2
+        assert asym.APPROXIMANTS[Family.ODD_POLYGONS] == (2, 0, Fraction(5, 3), Fraction(5, 3))
+        assert set(asym.APPROXIMANTS) == set(Family)
+
+    def test_table_is_frozen(self):
+        with pytest.raises(TypeError):
+            asym.APPROXIMANTS[Family.ODD_POLYGONS] = asym.APPROXIMANTS[Family.ALL_POLYGONS]
+
+    @pytest.mark.parametrize(
+        "family, even, odd",
+        [(Family.ALL_POLYGONS, Fraction(5, 6), Fraction(7, 12)), (Family.ODD_POLYGONS, Fraction(7, 24), Fraction(7, 24))],
+    )
+    def test_limit_distances(self, family, even, odd):
+        assert asym.limit_distance(family, asym.Parity.EVEN) == float(even)
+        assert asym.limit_distance(family, asym.Parity.ODD) == float(odd)
+
+    def test_odd_family_scale_is_spiral_symmetry(self):
+        # 2^(1 + i pi/4) doubles the radius and turns by (pi/4) log 2, so it
+        # maps r = exp(4 theta/pi) onto itself
+        factor = asym.approximant(100, Family.ODD_POLYGONS) / asym.asymptotic_form(100.0, 0.25, 5.0 / 3.0)
+        assert abs(factor) == pytest.approx(2.0, abs=1e-15)
+        theta = 1.3
+        z = cmath.exp((asym.GROWTH_RATE + 1j) * theta)
+        assert abs(asym.spiral_gap(factor * z, theta + cmath.phase(factor))) < 1e-14
+
+    def test_odd_family_matches_centres(self):
+        # the scaled odd centres step like the approximant up to one fixed
+        # rotation: ratios vary by 3.8e-9 here, by 1.4e-8 with b off by 0.01
+        # and by 5.7e-4 with the all-family shift t = n - 1/2
+        ns = np.arange(500, 1001)
+        b = asym.approximant(ns, Family.ODD_POLYGONS)
+        ratios = np.diff(2.0 * math.pi * asym.UNIT_COEFF * geo.centers_odd(1000).slice(500, 1000)) / np.diff(b)
+        assert float(np.abs(ratios - ratios.mean()).max()) < 1e-8
 
     def test_leading_term_dominates(self):
         n = 10**4
-        assert abs(asym.approximant(n)) / (n - 0.5) ** 2 == pytest.approx(1.0, abs=1e-3)
+        assert abs(asym.approximant(n, Family.ALL_POLYGONS)) / (n - 0.5) ** 2 == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_family_members(self):
-        assert asym.approximant(10) == pytest.approx(asym.asymptotic_form(9.5, 0.25, 43.0 / 6.0), abs=1e-12)
-        assert asym.approximant(11) == pytest.approx(asym.asymptotic_form(10.5, 0.25, 31.0 / 6.0), abs=1e-12)
+        assert asym.approximant(10, Family.ALL_POLYGONS) == pytest.approx(asym.asymptotic_form(9.5, 0.25, 43.0 / 6.0), abs=1e-12)
+        assert asym.approximant(11, Family.ALL_POLYGONS) == pytest.approx(asym.asymptotic_form(10.5, 0.25, 31.0 / 6.0), abs=1e-12)
 
     def test_vectorized_agrees_with_scalar(self):
         ns = np.array([7, 8, 9])
-        vec = asym.approximant(ns)
-        for i, n in enumerate(ns):
-            assert vec[i] == pytest.approx(asym.approximant(int(n)), abs=1e-12)
+        for family in Family:
+            vec = asym.approximant(ns, family)
+            for i, n in enumerate(ns):
+                assert vec[i] == pytest.approx(asym.approximant(int(n), family), abs=1e-12)
 
 
 class TestAsymptoticFamily:

@@ -122,12 +122,28 @@ class TestFitAndDistances:
     def test_odd_family_default_window_too_short(self, capsys):
         code, out, err = run(capsys, "distances", "--family", "odd", "--n-max", "2")
         assert code == 2
-        assert out == "" and err.startswith("error: fit window 2:2: window length must be >= 16")
+        assert out == "" and err.startswith("error: fit window 2:2: window length must be >= 8")
 
-    def test_spiral_route_rejected_for_odd_approximant(self, capsys):
-        code, _, err = run(capsys, "fit", "--family", "odd", "--n-max", "100", "--route", "approximant")
-        assert code == 2
-        assert "approximant route" in err
+    def test_odd_family_approximant_fit(self, capsys):
+        code, out, _ = run(capsys, "fit", "--family", "odd", "--n-max", "100")
+        assert code == 0
+        info = json.loads(out)
+        assert info["route"] == "approximant" and info["objective"] is None
+        assert info["parity_mean"]["even"] == pytest.approx(7.0 / 24.0, abs=1e-4)
+
+    def test_odd_family_spiral_route_is_warm_started(self, capsys):
+        code, out, _ = run(capsys, "fit", "--family", "odd", "--n-max", "400", "--window", "100:200", "--route", "spiral")
+        assert code == 0
+        info = json.loads(out)
+        assert info["route"] == "spiral" and info["objective"] <= 1e-10
+        assert info["parity_mean"]["odd"] == pytest.approx(7.0 / 24.0, abs=1e-4)
+
+    def test_odd_family_short_default_window(self, capsys):
+        # the default window 7:15 has 9 points: enough for the approximant
+        # route, too few for the spiral route (16)
+        code, out, _ = run(capsys, "distances", "--family", "odd", "--n-max", "30")
+        assert code == 0
+        assert "# target_odd=0.291666666666667" in out.splitlines()
 
     def test_odd_family_distances_summary(self, capsys):
         code, out, _ = run(

@@ -13,6 +13,7 @@ run from the repository root with ``PYTHONPATH=src``:
     python -m polyspiral.cli distances --family odd --n-max 400 --window 100:200 --extrapolate --format json --out tests/golden/distances_odd.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route approximant --out tests/golden/fit_all_approximant.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route spiral --out tests/golden/fit_all_spiral.json
+    python -m polyspiral.cli fit --family odd --n-max 400 --window 100:200 --route approximant --out tests/golden/fit_odd_approximant.json
 
 A refactor that changes any byte of these outputs fails here; regenerate
 the files only for an intended change of output.
@@ -38,6 +39,7 @@ CASES = {
     "distances_odd.json": "distances --family odd --n-max 400 --window 100:200 --extrapolate --format json",
     "fit_all_approximant.json": "fit --family all --n-max 200 --window 100:200 --route approximant",
     "fit_all_spiral.json": "fit --family all --n-max 200 --window 100:200 --route spiral",
+    "fit_odd_approximant.json": "fit --family odd --n-max 400 --window 100:200 --route approximant",
 }
 
 

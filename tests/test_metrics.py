@@ -88,7 +88,7 @@ class TestNormalization:
 
 def _synthetic_sequence(first, count, phi, c, noise=None):
     ns = np.arange(first, first + count)
-    b = approximant(ns)
+    b = approximant(ns, Family.ALL_POLYGONS)
     a = np.exp(1j * phi) * b + c
     if noise is not None:
         a = a + noise(ns)
@@ -112,7 +112,7 @@ class TestApproximantFit:
         motion, diag = p_fit
         ns = np.arange(500, 1001)
         a = mt.APPROXIMANT_SCALE * p_seq.slice(500, 1000)
-        residual = np.abs(a - (np.exp(1j * motion.rotation) * approximant(ns) + motion.translation))
+        residual = np.abs(a - (np.exp(1j * motion.rotation) * approximant(ns, Family.ALL_POLYGONS) + motion.translation))
         assert float((ns * residual).max()) < 50.0
         assert diag.residual_slope < -0.5
 
@@ -141,7 +141,8 @@ class TestSpiralFit:
         phi0, c0 = 1.234, 3.5 - 2.25j
         a = np.exp(1j * phi0) * (mt.NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)) * w + c0
         seq = CenterSequence(Family.ALL_POLYGONS, 300, a / mt.APPROXIMANT_SCALE)
-        motion, diag = mt.fit_motion_to_spiral(seq, mt.TARGET_SPIRAL, (300, 499))
+        init = mt.RigidMotion(phi0 + 1e-4, c0 + 1e-4 - 1e-4j)
+        motion, diag = mt.fit_motion_to_spiral(seq, mt.TARGET_SPIRAL, (300, 499), init=init)
         assert diag.objective <= 1e-10
         assert motion.rotation == pytest.approx(phi0, abs=1e-6)
         assert abs(motion.translation - c0) < 1e-6
@@ -152,9 +153,10 @@ class TestSpiralFit:
         for parity in Parity:
             assert abs(diag_a.per_parity_mean[parity] - diag_s.per_parity_mean[parity]) < 5e-3
 
-    def test_window_too_short(self, p_seq):
+    def test_window_too_short(self, p_seq, p_fit):
+        motion, _ = p_fit
         with pytest.raises(ValueError):
-            mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 510))
+            mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 510), init=motion)
 
     def test_threshold_failure(self, p_seq, p_fit):
         motion, _ = p_fit
@@ -272,9 +274,23 @@ class TestInnerSide:
 
 
 class TestOddFamilyPipeline:
-    def test_fit_objective(self, q_fit):
-        _, diag = q_fit
+    def test_fit_objective(self, q_spiral_fit):
+        _, diag = q_spiral_fit
         assert diag.objective <= 1e-10
+
+    def test_approximant_residual_rate(self, q_seq, q_fit):
+        motion, diag = q_fit
+        ns = np.arange(500, 1001)
+        a = mt.APPROXIMANT_SCALE * q_seq.slice(500, 1000)
+        b = approximant(ns, Family.ODD_POLYGONS)
+        residual = np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))
+        assert float((ns * residual).max()) < 5.0
+        assert diag.residual_slope < -0.9
+
+    def test_index_drift_fails(self, q_seq):
+        shifted = CenterSequence(Family.ODD_POLYGONS, 2, q_seq.centers[1:])
+        with pytest.raises(mt.FitError):
+            mt.fit_motion_to_approximant(shifted, (500, 1000))
 
     def test_distances_converge(self, q_table):
         means = mt.parity_means(q_table.select(q_table.n >= 1500))
