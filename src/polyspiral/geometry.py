@@ -34,15 +34,6 @@ class Family(Enum):
 
 
 @dataclass(frozen=True)
-class HarmonicPair:
-    """Partial harmonic sum H and partial alternating harmonic sum h at index n."""
-
-    n: int
-    H: float
-    h: float
-
-
-@dataclass(frozen=True)
 class CenterSequence:
     """Ordered polygon centres, indexed from ``first_index``.
 
@@ -99,136 +90,70 @@ class Violation:
     value: float
 
 
-def harmonic(n: int) -> float:
-    """Partial harmonic sum 1 + 1/2 + ... + 1/n, smallest term first."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0.0
-    for j in range(n, 0, -1):
-        total += 1.0 / j
-    return total
+def compensated_cumsum(terms: np.ndarray) -> np.ndarray:
+    """Every prefix sum of real or complex float64 terms, compensated.
 
-
-def alt_harmonic(n: int) -> float:
-    """Partial alternating harmonic sum 1 - 1/2 + 1/3 - ..., smallest term first."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0.0
-    for j in range(n, 0, -1):
-        term = 1.0 / j
-        total += term if j % 2 else -term
-    return total
-
-
-def harmonic_pair(n: int) -> HarmonicPair:
-    return HarmonicPair(n, harmonic(n), alt_harmonic(n))
-
-
-def _cot(x: float) -> float:
-    return math.cos(x) / math.sin(x)
-
-
-def step_magnitude(k: int) -> float:
-    """Distance between the centres of the k-gon and the (k+1)-gon.
-
-    Sum of the two apothems: (cot(pi/k) + cot(pi/(k+1))) / 2.  k = 2 is the
-    degenerate seed case (cot(pi/2) = 0).
+    Ogita, Rump & Oishi's Sum2 (SIAM J. Sci. Comput. 26, 2005) applied to
+    every prefix at once: ``np.cumsum`` gives the float64 partial sums, the
+    TwoSum identity recovers the exact rounding error of each addition, and
+    the running sum of those errors corrects them.  Each prefix S_n is
+    returned within eps*|S_n| + (n*eps)^2 * sum|t_j| per component, as if
+    summed in twice the working precision.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return 0.5 * (_cot(math.pi / k) + _cot(math.pi / (k + 1)))
-
-
-def step_angle(k: int) -> float:
-    """Direction of the centre-to-centre step leaving the k-gon.
-
-    Equals (pi/2) * (H_k + h_k), i.e. pi times the sum of 1/j over odd
-    j <= k; the even-j contributions cancel between the two harmonic sums.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    total = 0.0
-    j = k if k % 2 else k - 1
-    while j >= 1:
-        total += 1.0 / j
-        j -= 2
-    return math.pi * total
-
-
-def step_magnitudes(k_max: int) -> np.ndarray:
-    """step_magnitude(k) for k = 2..k_max as an array."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    k = np.arange(2, k_max + 1, dtype=float)
-    apothem = 0.5 / np.tan(np.pi / k)
-    apothem_next = 0.5 / np.tan(np.pi / (k + 1))
-    return apothem + apothem_next
-
-
-def _step_angle_fractions(k_max: int) -> np.ndarray:
-    """step_angle(k) / pi for k = 2..k_max (shared cumulative sum)."""
-    k = np.arange(2, k_max + 1)
-    increments = np.where(k % 2 == 1, 1.0 / k, 0.0)
-    increments[0] = 1.0  # k = 2 contributes the j = 1 term
-    return np.cumsum(increments)
-
-
-def step_angles(k_max: int) -> np.ndarray:
-    """step_angle(k) for k = 2..k_max as an array (shared cumulative sum)."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    return math.pi * _step_angle_fractions(k_max)
+    terms = np.asarray(terms)
+    sums = np.cumsum(terms)
+    before, after = sums[:-1], sums[1:]
+    # Knuth's TwoSum, in place so that only four arrays are live: with
+    # z = after - before, after + (before - (after - z)) + (t - z) = before + t exactly.
+    z = after - before
+    out = np.zeros_like(sums)
+    error = out[1:]
+    np.subtract(before, np.subtract(after, z, out=error), out=error)
+    error += np.subtract(terms[1:], z, out=z)
+    np.cumsum(out, out=out)
+    out += sums
+    return out
 
 
 def _expi_pi(s: np.ndarray) -> np.ndarray:
     """exp(i*pi*s) with argument reduction, exact at integer s."""
-    s = np.asarray(s, dtype=float)
     n = np.rint(s)
     f = s - n
     sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
     return sign * (np.cos(np.pi * f) + 1j * (np.sin(np.pi * f) + 0.0))
 
 
-def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Kahan-compensated cumulative sum of complex terms."""
-    out = np.empty_like(terms)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for i, t in enumerate(terms):
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        out[i] = total
-    return out
+def _centers(sides: np.ndarray) -> np.ndarray:
+    """Centres of the polygons sides[1:], the sides[0]-gon centred at 0.
+
+    Consecutive polygons in the chain are joined edge to edge, so the step
+    between their centres is the sum of their apothems (the degenerate
+    2-gon has none).  The step leaving the s-gon points at pi times the sum
+    of 1/j over odd j <= s: each odd-sided polygon turns the chain by pi/s.
+    """
+    apothem = np.where(sides > 2, 0.5 / np.tan(np.pi / sides), 0.0)
+    odd_reciprocals = 1.0 / np.arange(1, sides[-2] + 1, 2)
+    turns = compensated_cumsum(odd_reciprocals)[(sides[:-1] - 1) // 2]
+    return compensated_cumsum((apothem[:-1] + apothem[1:]) * _expi_pi(turns))
 
 
 def centers_all(n_max: int) -> CenterSequence:
-    """Centres of the 3-gon through the n_max-gon (cumulative step sums)."""
+    """Centres of the 3-gon through the n_max-gon, indexed by side count."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    mags = step_magnitudes(n_max - 1)
-    terms = mags * _expi_pi(_step_angle_fractions(n_max - 1))
-    centers = _compensated_cumsum(terms)
-    return CenterSequence(Family.ALL_POLYGONS, 3, centers)
+    return CenterSequence(Family.ALL_POLYGONS, 3, _centers(np.arange(2, n_max + 1)))
 
 
 def centers_odd(n_max: int) -> CenterSequence:
-    """Centres of the odd-count chain: term k joins the (2k-1)- and (2k+1)-gons.
+    """Centres of the odd-count chain 3, 5, 7, ...: index k is the (2k+1)-gon.
 
-    The k-th step has magnitude (cot(pi/(2k-1)) + cot(pi/(2k+1))) / 2 and
-    direction pi * (H_{2k} - H_k / 2); entries are indexed 2..n_max.
+    The triangle sits at the origin, so the step into index k has magnitude
+    (cot(pi/(2k-1)) + cot(pi/(2k+1))) / 2 and direction pi (H_2k - H_k / 2);
+    entries are indexed 2..n_max.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    k = np.arange(2, n_max + 1, dtype=float)
-    mags = 0.5 * (1.0 / np.tan(np.pi / (2 * k - 1)) + 1.0 / np.tan(np.pi / (2 * k + 1)))
-    recip = 1.0 / np.arange(1, 2 * n_max + 1, dtype=float)
-    hsum = np.cumsum(recip)  # hsum[j-1] = H_j
-    ki = np.arange(2, n_max + 1)
-    terms = mags * _expi_pi(hsum[2 * ki - 1] - 0.5 * hsum[ki - 1])
-    centers = _compensated_cumsum(terms)
-    return CenterSequence(Family.ODD_POLYGONS, 2, centers)
+    return CenterSequence(Family.ODD_POLYGONS, 2, _centers(np.arange(3, 2 * n_max + 2, 2)))
 
 
 def circumradius(sides: int) -> float:
@@ -239,26 +164,20 @@ def circumradius(sides: int) -> float:
 def build_chain(n_max: int) -> PolygonChain:
     """Vertex-level chain of polygons from the triangle up to the n_max-gon.
 
-    The seed triangle is fixed at SEED_VERTICES.  Each following (k+1)-gon is
-    placed against the k-gon across the edge whose midpoint lies one apothem
-    from the k-gon's centre in the step direction.  Centroids are vertex
-    averages, an independent path from the closed-form centre sums.
+    The seed triangle is fixed at SEED_VERTICES.  Each following m-gon is
+    placed around its centre so that its vertices 0 and m-1 span the edge
+    facing back along the step from the (m-1)-gon's centre.  Centroids are
+    vertex averages, an independent path from the closed-form centre sums.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     seed = np.array(SEED_VERTICES, dtype=complex)
     polygons = [Polygon(3, seed, complex(seed.mean()))]
-    if n_max == 3:
-        return PolygonChain(polygons)
-
-    seq = centers_all(n_max)
-    angs = step_angles(n_max - 1)
-    for m in range(4, n_max + 1):
-        center = seq.center(m)
-        theta_prev = angs[m - 3]  # step angle leaving the (m-1)-gon
-        first_vertex_angle = theta_prev + math.pi + math.pi / m
+    centers = centers_all(n_max).centers
+    steps = np.diff(centers)
+    for m, center, step in zip(range(4, n_max + 1), centers[1:], steps):
         j = np.arange(m)
-        vertices = center + circumradius(m) * np.exp(1j * (first_vertex_angle + 2 * np.pi * j / m))
+        vertices = center - circumradius(m) * (step / abs(step)) * np.exp(1j * np.pi * (2 * j + 1) / m)
         polygons.append(Polygon(m, vertices, complex(vertices.mean())))
     return PolygonChain(polygons)
 
@@ -301,8 +220,10 @@ def validate_chain(chain: PolygonChain) -> list[Violation]:
             report.append(Violation(poly.sides, "centroid", centroid_err))
         if idx + 1 < len(chain.polygons):
             nxt = chain.polygons[idx + 1]
-            dist = np.abs(poly.vertices[:, None] - nxt.vertices[None, :])
-            shared = int(np.count_nonzero(dist < EDGE_TOL))
+            # build_chain puts the shared edge at the next polygon's vertices 0 and m-1
+            ends = nxt.vertices[[0, -1]]
+            dist = np.abs(ends[:, None] - poly.vertices[None, :])
+            shared = int(np.count_nonzero(dist.min(axis=1) < EDGE_TOL))
             if shared != 2:
                 report.append(Violation(poly.sides, "shared-edge", float(shared)))
     return report

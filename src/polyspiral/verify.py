@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics as asym
-from .geometry import CenterSequence, centers_all
+from .geometry import CenterSequence, centers_all, compensated_cumsum
 from .metrics import APPROXIMANT_SCALE, NORMALIZATION_MODULUS, fit_motion_to_approximant
 from .spiral import offset_distance_profile
 
@@ -40,26 +40,10 @@ class CheckResult:
     detail: str
 
 
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Neumaier running sum; keeps harmonic partial sums correctly rounded."""
-    out = np.empty_like(values)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
-
-
 def suite_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[CheckResult]:
     """Strict two-sided bounds on the harmonic-sum expansion residual."""
     n = np.arange(1, n_max + 1)
-    partial = _compensated_cumsum(1.0 / n)
+    partial = compensated_cumsum(1.0 / n)
     residual = partial - asym.EULER_GAMMA - np.log(n + 0.5)
     lower = 1.0 / (24.0 * (n + 1.0) ** 2)
     upper = 1.0 / (24.0 * n.astype(float) ** 2)
@@ -79,7 +63,7 @@ def suite_alt_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> l
     tol = _tol(tolerances, "alt-harmonic-bound")
     n = np.arange(1, n_max + 1)
     sign = np.where(n % 2 == 1, 1.0, -1.0)
-    partial = _compensated_cumsum(sign / n)
+    partial = compensated_cumsum(sign / n)
     expansion = math.log(2.0) + sign / (2.0 * n) - sign / (4.0 * n.astype(float) ** 2)
     scaled = np.abs(partial - expansion) * n.astype(float) ** 3
     worst = float(scaled[n >= 10].max())

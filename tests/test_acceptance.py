@@ -44,11 +44,12 @@ def test_criterion_02_vertex_oracle_equivalence():
 
 
 def test_criterion_03_turning_structure():
-    angles = geo.step_angles(10_000)
+    # steps leaving the 2-gon (centred at 0) through the 10000-gon; the k-gon turns them by pi/k if k is odd
+    steps = np.diff(geo.centers_all(10_001).centers, prepend=0.0)
     k = np.arange(3, 10_001)
     expected = np.where(k % 2 == 1, np.pi / k, 0.0)
-    worst = float(np.max(np.abs(np.diff(angles) - expected)))
-    _report("03-turning-structure", worst <= 1e-12, f"max increment error {worst:.3e} (tol 1e-12)")
+    worst = float(np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)))
+    _report("03-turning-structure", worst <= 1e-12, f"max turning-angle error {worst:.3e} (tol 1e-12)")
 
 
 def test_criterion_04_harmonic_bounds_strict():

@@ -26,7 +26,7 @@ class TestCenters:
     def test_odd_family_first_row(self, capsys):
         code, out, _ = run(capsys, "centers", "--family", "odd", "--n-max", "2")
         assert code == 0
-        assert out.splitlines()[1] == "2,-0.488433047415201,-0.845990854218824"
+        assert out.splitlines()[1] == "2,-0.4884330474152,-0.845990854218825"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "centers", "--family", "all", "--n-max", "4", "--format", "json")

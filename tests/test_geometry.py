@@ -1,6 +1,9 @@
+import cmath
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,70 +21,152 @@ def exact_alt_harmonic(n):
     return sum(Fraction((-1) ** (j - 1), j) for j in range(1, n + 1))
 
 
+def partial_sums(n, alternating=False):
+    """Harmonic (or alternating harmonic) partial sums for 1..n."""
+    j = np.arange(1, n + 1)
+    signs = np.where(j % 2 == 1, 1.0, -1.0) if alternating else 1.0
+    return geo.compensated_cumsum(signs / j)
+
+
+def steps_all(n_max):
+    """Centre steps leaving the 2-gon (centred at 0) through the (n_max-1)-gon."""
+    return np.diff(geo.centers_all(n_max).centers, prepend=0.0)
+
+
+def phase_error(step, angle):
+    """Angle between a step and the direction exp(i*angle), in (-pi, pi]."""
+    return abs(cmath.phase(step * cmath.exp(-1j * angle)))
+
+
 class TestHarmonicSums:
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 1.5)])
     def test_harmonic_small(self, n, expected):
-        assert geo.harmonic(n) == expected
+        assert partial_sums(n)[-1] == expected
 
     def test_harmonic_ten_vs_rational_oracle(self):
         assert exact_harmonic(10) == Fraction(7381, 2520)
-        assert geo.harmonic(10) == pytest.approx(float(Fraction(7381, 2520)), abs=1e-15)
+        assert partial_sums(10)[-1] == pytest.approx(float(Fraction(7381, 2520)), abs=1e-15)
 
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 0.5)])
     def test_alt_harmonic_small(self, n, expected):
-        assert geo.alt_harmonic(n) == expected
+        assert partial_sums(n, alternating=True)[-1] == expected
 
     def test_alt_harmonic_four_vs_rational_oracle(self):
         assert exact_alt_harmonic(4) == Fraction(7, 12)
-        assert geo.alt_harmonic(4) == pytest.approx(float(Fraction(7, 12)), abs=1e-15)
-
-    @pytest.mark.parametrize("func", [geo.harmonic, geo.alt_harmonic])
-    def test_rejects_nonpositive(self, func):
-        with pytest.raises(ValueError):
-            func(0)
+        assert partial_sums(4, alternating=True)[-1] == pytest.approx(float(Fraction(7, 12)), abs=1e-15)
 
     @given(st.integers(min_value=1, max_value=500))
     def test_harmonic_pair_invariants(self, n):
-        pair = geo.harmonic_pair(n)
-        assert pair.H >= pair.h > 0.0
+        H, h = partial_sums(n), partial_sums(n, alternating=True)
+        assert H[-1] >= h[-1] > 0.0
         if n > 1:
-            assert pair.H > geo.harmonic(n - 1)
+            assert H[-1] > H[-2]
+
+
+def _float_terms():
+    """Finite floats of either sign over 2^-30..2^30, so no prefix overflows or underflows."""
+    return st.builds(
+        lambda m, e, neg: (-m if neg else m) * 2.0**e,
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.integers(min_value=-30, max_value=30),
+        st.booleans(),
+    )
+
+
+class TestCompensatedCumsum:
+    @staticmethod
+    def assert_within_sum2_bound(sums, parts):
+        eps = np.finfo(float).eps
+        for n in range(1, len(parts) + 1):
+            exact = math.fsum(parts[:n])
+            bound = eps * abs(exact) + (n * eps) ** 2 * math.fsum(abs(t) for t in parts[:n])
+            assert abs(sums[n - 1] - exact) <= bound
+
+    @given(st.lists(_float_terms(), min_size=1, max_size=200))
+    def test_real_prefixes_match_fsum(self, terms):
+        self.assert_within_sum2_bound(geo.compensated_cumsum(np.array(terms)), terms)
+
+    @given(st.lists(st.tuples(_float_terms(), _float_terms()), min_size=1, max_size=200))
+    def test_complex_prefixes_match_fsum_per_component(self, pairs):
+        re, im = (list(c) for c in zip(*pairs))
+        sums = geo.compensated_cumsum(np.array(re) + 1j * np.array(im))
+        self.assert_within_sum2_bound(sums.real, re)
+        self.assert_within_sum2_bound(sums.imag, im)
+
+
+def oracle_centers(family, indices, dps=30):
+    """Centres at the given indices from a dps-digit mpmath running sum."""
+    with mpmath.workdps(dps):
+        pi, total, out = mpmath.pi, mpmath.mpc(0), {}
+        if family is geo.Family.ALL_POLYGONS:
+            # c_n = sum over k < n of (cot(pi/k) + cot(pi/(k+1)))/2 * exp(i pi sum_{odd j <= k} 1/j)
+            odd_sum, half_cot = mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(2, max(indices)):
+                if k == 2:
+                    odd_sum += 1  # the j = 1 term
+                elif k % 2:
+                    odd_sum += mpmath.mpf(1) / k
+                half_cot_next = mpmath.cot(pi / (k + 1)) / 2
+                total += (half_cot + half_cot_next) * mpmath.expjpi(odd_sum)
+                half_cot = half_cot_next
+                if k + 1 in indices:
+                    out[k + 1] = total
+        else:
+            # c_k = sum over 2 <= i <= k of (cot(pi/(2i-1)) + cot(pi/(2i+1)))/2 * exp(i pi (H_2i - H_i/2))
+            h_i, h_2i, half_cot = mpmath.mpf(1), mpmath.mpf(3) / 2, mpmath.cot(pi / 3) / 2
+            for i in range(2, max(indices) + 1):
+                h_i += mpmath.mpf(1) / i
+                h_2i += mpmath.mpf(1) / (2 * i - 1) + mpmath.mpf(1) / (2 * i)
+                half_cot_next = mpmath.cot(pi / (2 * i + 1)) / 2
+                total += (half_cot + half_cot_next) * mpmath.expjpi(h_2i - h_i / 2)
+                half_cot = half_cot_next
+                if i in indices:
+                    out[i] = total
+        return out
+
+
+class TestCentersOracle:
+    @pytest.mark.parametrize("build", [geo.centers_all, geo.centers_odd])
+    def test_relative_error_within_four_eps(self, build):
+        indices = (100, 1000, 3000)
+        seq = build(max(indices))
+        reference = oracle_centers(seq.family, indices)
+        for n in indices:
+            err = abs(mpmath.mpc(seq.center(n)) - reference[n]) / abs(reference[n])
+            assert err <= 4 * np.finfo(float).eps, (n, float(err))
 
 
 class TestSteps:
     def test_magnitude_seed_case(self):
         # cot(pi/2) = 0 leaves only the triangle apothem
-        assert geo.step_magnitude(2) == pytest.approx(SQRT3 / 6.0, abs=1e-15)
+        assert abs(steps_all(3)[0]) == pytest.approx(SQRT3 / 6.0, abs=1e-15)
 
     def test_magnitude_three(self):
         # (1/sqrt(3) + 1) / 2, evaluated independently
-        assert geo.step_magnitude(3) == pytest.approx(0.78867513459481288, abs=1e-14)
+        assert abs(steps_all(4)[1]) == pytest.approx(0.78867513459481288, abs=1e-14)
 
     def test_magnitude_four(self):
-        assert geo.step_magnitude(4) == pytest.approx(1.1881909602355868, abs=1e-14)
-
-    def test_magnitude_rejects_below_two(self):
-        with pytest.raises(ValueError):
-            geo.step_magnitude(1)
+        assert abs(steps_all(5)[2]) == pytest.approx(1.1881909602355868, abs=1e-14)
 
     def test_angle_values(self):
-        assert geo.step_angle(2) == pytest.approx(math.pi, abs=1e-15)
-        assert geo.step_angle(3) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-14)
-        assert geo.step_angle(4) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-14)
+        steps = steps_all(5)
+        assert phase_error(steps[0], math.pi) < 1e-15
+        assert phase_error(steps[1], 4.0 * math.pi / 3.0) < 1e-14
+        assert phase_error(steps[2], 4.0 * math.pi / 3.0) < 1e-14
 
     @pytest.mark.parametrize("k", [2, 3, 10, 101, 1234])
     def test_angle_matches_harmonic_form(self, k):
-        via_sums = 0.5 * math.pi * (geo.harmonic(k) + geo.alt_harmonic(k))
-        assert geo.step_angle(k) == pytest.approx(via_sums, abs=1e-11)
+        via_sums = 0.5 * math.pi * float(exact_harmonic(k) + exact_alt_harmonic(k))
+        assert phase_error(steps_all(k + 1)[k - 2], via_sums) < 1e-11
 
     def test_angle_rational_oracle(self):
         # H_3 + h_3 = 8/3 exactly
         total = exact_harmonic(3) + exact_alt_harmonic(3)
         assert total == Fraction(8, 3)
-        assert geo.step_angle(3) == pytest.approx(math.pi / 2.0 * float(total), abs=1e-14)
+        assert phase_error(steps_all(4)[1], math.pi / 2.0 * float(total)) < 1e-14
 
     def test_magnitude_strictly_increasing_with_linear_limit(self):
-        mags = geo.step_magnitudes(10_000)
+        mags = np.abs(steps_all(10_001))
         assert np.all(np.diff(mags) > 0.0)
         k = np.arange(2, 10_001, dtype=float)
         drift = mags - (2.0 * k + 1.0) / (2.0 * math.pi)
@@ -101,7 +186,8 @@ class TestCenterSequences:
 
     def test_step_equals_magnitude_by_construction(self):
         seq = geo.centers_all(4)
-        assert abs(abs(seq.center(4) - seq.center(3)) - geo.step_magnitude(3)) < 1e-12
+        apothems = 0.5 / math.tan(math.pi / 3.0) + 0.5 / math.tan(math.pi / 4.0)
+        assert abs(abs(seq.center(4) - seq.center(3)) - apothems) < 1e-12
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
@@ -111,7 +197,8 @@ class TestCenterSequences:
 
     def test_step_magnitude_sweep(self, p_seq):
         diffs = np.abs(np.diff(p_seq.centers))
-        mags = geo.step_magnitudes(p_seq.last_index - 1)[1:]
+        k = np.arange(3, p_seq.last_index, dtype=float)
+        mags = 0.5 * (1.0 / np.tan(np.pi / k) + 1.0 / np.tan(np.pi / (k + 1)))
         scale = np.abs(p_seq.centers[1:])
         # tolerance tracks the ulp of the accumulated magnitude
         tol = 1e-12 + 8.0 * np.finfo(float).eps * scale
@@ -120,10 +207,10 @@ class TestCenterSequences:
         assert np.all(np.abs(np.abs(np.diff(below)) - mags[: len(below) - 1]) < 1e-12)
 
     def test_turning_angles(self):
-        angs = geo.step_angles(1000)
+        steps = steps_all(1001)
         k = np.arange(3, 1001)
         expected = np.where(k % 2 == 1, math.pi / k, 0.0)
-        assert np.max(np.abs(np.diff(angs) - expected)) < 1e-12
+        assert np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)) < 1e-12
 
     def test_odd_family_first_term(self):
         seq = geo.centers_odd(2)
@@ -166,7 +253,7 @@ class TestChain:
         assert len(pairs) == 2
         midpoint = tri.vertices[pairs[:, 0]].mean()
         apothem = 0.5 / math.tan(math.pi / 3.0)
-        expected = seq.center(3) + apothem * np.exp(1j * geo.step_angle(3))
+        expected = seq.center(3) + apothem * np.exp(4j * math.pi / 3.0)
         assert abs(midpoint - expected) < 1e-12
 
     def test_centroids_match_centers(self):
@@ -190,6 +277,18 @@ class TestChain:
         chain.polygons[4].vertices[1] += 1e-3
         kinds = {v.kind for v in geo.validate_chain(chain)}
         assert "unit-edge" in kinds
+
+    def test_validate_is_fast_at_two_thousand(self):
+        start = time.perf_counter()
+        assert geo.validate_chain(geo.build_chain(2000)) == []
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("vertex", [0, -1])
+    def test_validate_flags_moved_shared_vertex(self, vertex):
+        chain = geo.build_chain(10)
+        chain.polygons[4].vertices[vertex] += 1e-3
+        flagged = {v.polygon for v in geo.validate_chain(chain) if v.kind == "shared-edge"}
+        assert flagged == {chain.polygons[3].sides}
 
     def test_validate_rejects_empty(self):
         with pytest.raises(ValueError):
