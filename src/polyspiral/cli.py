@@ -9,6 +9,7 @@ configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -165,15 +166,60 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+#: Rows formatted per write call, so output memory is O(_CHUNK) whatever n_max is.
+_CHUNK = 2**14
+
+
+def _write(out: str | None, head: str, tail: str = "", rows=None, columns=(), sep: str = "") -> None:
+    """The CLI's one output path: head, rows, then tail, to out or to stdout.
+
+    rows(*lists) formats _CHUNK entries of each numpy column at a time into
+    row strings joined by sep.  sys.stdout is looked up per call because
+    callers swap it (tests, perfbench/tracer.py).  Commands compute
+    everything before calling this, so a failed run writes nothing.
+    """
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(head)
+            for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
+                chunk = rows(*(column[start : start + _CHUNK].tolist() for column in columns))
+                fh.write((sep if start else "") + sep.join(chunk))
+            fh.write(tail)
+            fh.flush()
     except OSError as exc:
-        raise IOError(f"cannot write {out}: {exc}") from exc
+        raise IOError(f"cannot write {out or 'stdout'}: {exc}") from exc
+
+
+# Row templates of centers and distances over one chunk's column lists.  CSV
+# floats are formatted as _fmt does (.15g, -0.0 folded); a JSON row is the
+# record json.dumps(indent=2, sort_keys=True) writes inside "records", floats
+# as repr.  json.dumps spells NaN and inf unlike repr, so the commands assert
+# their columns finite; the one exception is a missing extrapolation (NaN),
+# written empty or null.
+_ROWS = {
+    ("centers", "csv"): lambda n, re, im: [f"{k},{x + 0.0:.15g},{y + 0.0:.15g}\n" for k, x, y in zip(n, re, im)],
+    ("centers", "json"): lambda n, re, im: [
+        f'    {{\n      "im": {y!r},\n      "n": {k},\n      "re": {x!r}\n    }}' for k, x, y in zip(n, re, im)
+    ],
+    ("distances", "csv"): lambda n, d, e: [
+        f"{k},{_PARITY[k % 2]},{x + 0.0:.15g},{'' if y != y else format(y + 0.0, '.15g')}\n" for k, x, y in zip(n, d, e)
+    ],
+    ("distances", "json"): lambda n, d, e: [
+        f'    {{\n      "distance": {x!r},\n      "extrapolated": {"null" if y != y else repr(y)},\n'
+        f'      "n": {k},\n      "parity": "{_PARITY[k % 2]}"\n    }}'
+        for k, x, y in zip(n, d, e)
+    ],
+}
+
+
+def _write_table(cfg: RunConfig, command: str, columns, csv_header: str, doc: dict, footer: str = "") -> None:
+    """A CSV header, rows and footer, or json.dumps(doc) with the rows as its "records"."""
+    rows = _ROWS[command, cfg.fmt]
+    if cfg.fmt == "csv":
+        _write(cfg.out, csv_header, footer, rows, columns)
+    else:
+        head, tail = json.dumps({**doc, "records": []}, indent=2, sort_keys=True).split('"records": []')
+        _write(cfg.out, head + '"records": [\n', "\n  ]" + tail + "\n", rows, columns, ",\n")
 
 
 def _sequence(cfg: RunConfig) -> CenterSequence:
@@ -184,13 +230,9 @@ def _sequence(cfg: RunConfig) -> CenterSequence:
 
 def cmd_centers(cfg: RunConfig) -> int:
     seq = _sequence(cfg)
-    rows = zip(range(seq.first_index, seq.last_index + 1), seq.centers.real.tolist(), seq.centers.imag.tolist())
-    if cfg.fmt == "csv":
-        lines = ["n,re,im"] + [f"{n},{_fmt(re)},{_fmt(im)}" for n, re, im in rows]
-        _write_output("\n".join(lines) + "\n", cfg.out)
-    else:
-        records = [{"n": n, "re": re, "im": im} for n, re, im in rows]
-        _write_output(json.dumps({"family": cfg.family.value, "records": records}, indent=2, sort_keys=True) + "\n", cfg.out)
+    assert np.isfinite(seq.centers).all()
+    columns = (np.arange(seq.first_index, seq.last_index + 1), seq.centers.real, seq.centers.imag)
+    _write_table(cfg, "centers", columns, "n,re,im\n", {"family": cfg.family.value})
     return 0
 
 
@@ -206,7 +248,7 @@ def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
             failed |= not result.passed
             status = "PASS" if result.passed else "FAIL"
             lines.append(f"{status} {name}/{result.name} margin={_fmt(result.margin)} ({result.detail})")
-    _write_output("\n".join(lines) + "\n", cfg.out)
+    _write(cfg.out, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -234,7 +276,7 @@ def _fit(cfg: RunConfig, route: str) -> tuple[RigidMotion, dict]:
 
 def cmd_fit(cfg: RunConfig, route: str) -> int:
     _, info = _fit(cfg, route)
-    _write_output(json.dumps(info, indent=2, sort_keys=True) + "\n", cfg.out)
+    _write(cfg.out, json.dumps(info, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -267,23 +309,11 @@ def cmd_distances(cfg: RunConfig, route: str) -> int:
     if cfg.extrapolate:
         table = richardson_extrapolate(table)
     summary = _summary(cfg, table)
-
-    extrapolated = [None if math.isnan(x) else x for x in table.extrapolated.tolist()]
-    rows = zip(table.n.tolist(), table.distance.tolist(), extrapolated)
-    if cfg.fmt == "csv":
-        lines = ["n,parity,distance,extrapolated"]
-        lines += [f"{n},{_PARITY[n % 2]},{_fmt(d)},{'' if x is None else _fmt(x)}" for n, d, x in rows]
-        lines += [f"# {key}={_fmt(value)}" for key, value in summary]
-        _write_output("\n".join(lines) + "\n", cfg.out)
-    else:
-        payload = {
-            "fit": info,
-            "records": [
-                {"n": n, "parity": _PARITY[n % 2], "distance": d, "extrapolated": x} for n, d, x in rows
-            ],
-            "summary": dict(summary),
-        }
-        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    assert np.isfinite(table.distance).all() and not np.isinf(table.extrapolated).any()
+    columns = (table.n, table.distance, table.extrapolated)
+    doc = {"fit": info, "summary": dict(summary)}
+    footer = "".join(f"# {key}={_fmt(value)}\n" for key, value in summary)
+    _write_table(cfg, "distances", columns, "n,parity,distance,extrapolated\n", doc, footer)
     return 0
 
 
@@ -306,7 +336,7 @@ def cmd_render(cfg: RunConfig) -> int:
         a = np.exp(1j * motion.rotation) * (NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)) * w + motion.translation
         spiral_samples = a / APPROXIMANT_SCALE
     scene = scene_from_chain(chain, spiral_samples)
-    _write_output(scene.to_svg(), cfg.out)
+    _write(cfg.out, scene.to_svg())
     return 0
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
 from .geometry import CenterSequence
@@ -231,6 +230,8 @@ def fit_motion_to_spiral(
     (in practice the approximant fit), steps 1e-4 in rotation and 1e-2 in
     translation.  Used as an independent cross-check of that fit.
     """
+    from scipy.optimize import minimize  # ~0.55 s and ~50 MiB, so only the spiral route pays it
+
     ns, centers = _window_slice(seq, window)
     if len(ns) < 16:
         raise ValueError("window length must be >= 16")

@@ -40,6 +40,11 @@ class CheckResult:
     detail: str
 
 
+def _check(name: str, worst: float, bound: float, detail: str) -> CheckResult:
+    """Passes when worst <= bound, with margin bound - worst."""
+    return CheckResult(name, worst <= bound, bound - worst, detail)
+
+
 def suite_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[CheckResult]:
     """Strict two-sided bounds on the harmonic-sum expansion residual."""
     n = np.arange(1, n_max + 1)
@@ -67,14 +72,8 @@ def suite_alt_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> l
     expansion = math.log(2.0) + sign / (2.0 * n) - sign / (4.0 * n.astype(float) ** 2)
     scaled = np.abs(partial - expansion) * n.astype(float) ** 3
     worst = float(scaled[n >= 10].max())
-    return [
-        CheckResult(
-            "alt-harmonic-cubed-residual",
-            worst <= tol,
-            tol - worst,
-            f"max n^3 residual {worst:.3e} over n in [10, {n_max}], bound {tol}",
-        )
-    ]
+    detail = f"max n^3 residual {worst:.3e} over n in [10, {n_max}], bound {tol}"
+    return [_check("alt-harmonic-cubed-residual", worst, tol, detail)]
 
 
 def _power_callables(p: int):
@@ -108,9 +107,7 @@ def suite_euler_maclaurin(tolerances: dict | None = None) -> list[CheckResult]:
         direct = sum(f(float(i)) for i in range(m, n + 1)) - _poly_integral(coeffs, m, n)
         value = asym.em_sum_minus_integral(f, m, n, asym.EmOrder.THREE, df=df, d3f=d3f)
         worst = max(worst, abs(value - direct))
-    results.append(
-        CheckResult("em-cubic-exactness", worst <= tol_exact, tol_exact - worst, f"max error {worst:.3e}")
-    )
+    results.append(_check("em-cubic-exactness", worst, tol_exact, f"max error {worst:.3e}"))
 
     worst = 0.0
     for p in (-1, 0, 1):
@@ -118,9 +115,7 @@ def suite_euler_maclaurin(tolerances: dict | None = None) -> list[CheckResult]:
         one = asym.em_sum_minus_integral(f, 2, 1000, asym.EmOrder.ONE, df=df)
         three = asym.em_sum_minus_integral(f, 2, 1000, asym.EmOrder.THREE, df=df, d3f=d3f)
         worst = max(worst, abs(one - three))
-    results.append(
-        CheckResult("em-order-agreement", worst <= tol_agree, tol_agree - worst, f"max order gap {worst:.3e}")
-    )
+    results.append(_check("em-order-agreement", worst, tol_agree, f"max order gap {worst:.3e}"))
     return results
 
 
@@ -145,36 +140,17 @@ def suite_power_sums(n_max: int = 5000, tolerances: dict | None = None) -> list[
             prefix[ns - 3] - asym.power_sum_closed(p, ns)
         )
         fitted = float((ns * np.abs(diff)).max())
-        results.append(
-            CheckResult(
-                f"pair-difference-rate-p{p:+d}",
-                fitted <= tol_pair,
-                tol_pair - fitted,
-                f"fitted C {fitted:.3e} over n in [50, {n_max}], bound {tol_pair}",
-            )
-        )
+        detail = f"fitted C {fitted:.3e} over n in [50, {n_max}], bound {tol_pair}"
+        results.append(_check(f"pair-difference-rate-p{p:+d}", fitted, tol_pair, detail))
 
     prefix0 = asym.power_sum_prefix(0, 10_001, alternating=True)
     worst = float(np.abs(prefix0).max())
-    results.append(
-        CheckResult(
-            "alternating-sum-bounded",
-            worst <= tol_alt,
-            tol_alt - worst,
-            f"max |sum| {worst:.3e} for n <= 10^4, bound {tol_alt}",
-        )
-    )
+    detail = f"max |sum| {worst:.3e} for n <= 10^4, bound {tol_alt}"
+    results.append(_check("alternating-sum-bounded", worst, tol_alt, detail))
 
     mods = np.abs(asym.power_sum_closed(0, np.arange(3, 2000), alternating=True))
     worst = float(np.abs(mods - 0.5).max())
-    results.append(
-        CheckResult(
-            "alternating-closed-modulus",
-            worst <= tol_mod,
-            tol_mod - worst,
-            f"max | |closed| - 1/2 | = {worst:.3e}",
-        )
-    )
+    results.append(_check("alternating-closed-modulus", worst, tol_mod, f"max | |closed| - 1/2 | = {worst:.3e}"))
     return results
 
 
@@ -199,9 +175,7 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
         z = asym.asymptotic_form(1e4, a, b)
         gap = asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4))
         worst = max(worst, abs(gap - asym.gap_limit(b)))
-    results.append(
-        CheckResult("gap-limit-at-1e4", worst <= tol_gap, tol_gap - worst, f"max |gap - limit| {worst:.3e}")
-    )
+    results.append(_check("gap-limit-at-1e4", worst, tol_gap, f"max |gap - limit| {worst:.3e}"))
 
     ts = np.geomspace(1e2, 1e5, 61)
     worst = 0.0
@@ -210,9 +184,7 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
             [t * (asym.spiral_gap(asym.asymptotic_form(t, a, b), 0.5 * math.pi * math.log(t)) - asym.gap_limit(b)) for t in ts]
         )
         worst = max(worst, float(np.abs(res).max()))
-    results.append(
-        CheckResult("gap-rate-bounded", worst <= tol_rate, tol_rate - worst, f"max t*residual {worst:.3e}")
-    )
+    results.append(_check("gap-rate-bounded", worst, tol_rate, f"max t*residual {worst:.3e}"))
 
     spread = 0.0
     for _, b in GAP_CASES:
@@ -220,9 +192,7 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
             asym.spiral_gap(asym.asymptotic_form(1e4, a, b), 0.5 * math.pi * math.log(1e4)) for a in (0.0, 0.25, 1.0)
         ]
         spread = max(spread, max(gaps) - min(gaps))
-    results.append(
-        CheckResult("gap-a-independence", spread <= tol_a, tol_a - spread, f"max spread over a {spread:.3e}")
-    )
+    results.append(_check("gap-a-independence", spread, tol_a, f"max spread over a {spread:.3e}"))
 
     worst = 0.0
     for family, approx in asym.APPROXIMANTS.items():
@@ -232,14 +202,8 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
             )
             limit = asym.limit_distance(family, parity)
             worst = max(worst, abs(derived - limit) / limit)
-    results.append(
-        CheckResult(
-            "limit-distance-from-gap",
-            worst <= LIMIT_DISTANCE_RTOL,
-            LIMIT_DISTANCE_RTOL - worst,
-            f"max relative |scale*|gap_limit|/(s*sqrt(1+beta^2)) - limit_distance| {worst:.3e}",
-        )
-    )
+    detail = f"max relative |scale*|gap_limit|/(s*sqrt(1+beta^2)) - limit_distance| {worst:.3e}"
+    results.append(_check("limit-distance-from-gap", worst, LIMIT_DISTANCE_RTOL, detail))
     return results
 
 
@@ -254,14 +218,8 @@ def suite_approximant(seq: CenterSequence | None = None, window: tuple[int, int]
     b = asym.approximant(ns, seq.family)
     residual = np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))
     worst = float((ns * residual).max())
-    return [
-        CheckResult(
-            "approximant-residual-rate",
-            worst <= tol,
-            tol - worst,
-            f"max n*residual {worst:.3e} on window {window}, bound {tol}",
-        )
-    ]
+    detail = f"max n*residual {worst:.3e} on window {window}, bound {tol}"
+    return [_check("approximant-residual-rate", worst, tol, detail)]
 
 
 OFFSET_CASES = ((4.0 / math.pi, 1.0, 5.0), (4.0 / math.pi, 5.0, 25.0), (1.0, 1.0, 5.0))
@@ -276,14 +234,8 @@ def suite_offset_distance(tolerances: dict | None = None) -> list[CheckResult]:
         bound = bound * scale
         rows = offset_distance_profile(beta, c, rs)
         worst = float(max(abs(d - pred) * r for r, d, pred in rows))
-        results.append(
-            CheckResult(
-                f"offset-rate-beta{beta:.3f}-c{c:g}",
-                worst <= bound,
-                bound - worst,
-                f"max r*|d - pred| {worst:.3e}, bound {bound:g}",
-            )
-        )
+        detail = f"max r*|d - pred| {worst:.3e}, bound {bound:g}"
+        results.append(_check(f"offset-rate-beta{beta:.3f}-c{c:g}", worst, bound, detail))
     return results
 
 
