@@ -21,11 +21,9 @@ from . import verify
 from .asymptotics import Parity, limit_distance
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
-    APPROXIMANT_SCALE,
+    FRAMES,
     DistanceTable,
     FitError,
-    NORMALIZATION_MODULUS,
-    RigidMotion,
     TARGET_SPIRAL,
     distance_table,
     fit_motion_to_approximant,
@@ -252,7 +250,7 @@ def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
     return 1 if failed else 0
 
 
-def _fit(cfg: RunConfig, route: str) -> tuple[RigidMotion, dict]:
+def cmd_fit(cfg: RunConfig, route: str) -> int:
     seq = _sequence(cfg)
     window = cfg.fit_window()
     try:
@@ -271,11 +269,6 @@ def _fit(cfg: RunConfig, route: str) -> tuple[RigidMotion, dict]:
         "objective": diag.objective,
         "parity_mean": {p.value: v for p, v in diag.per_parity_mean.items()},
     }
-    return motion, info
-
-
-def cmd_fit(cfg: RunConfig, route: str) -> int:
-    _, info = _fit(cfg, route)
     _write(cfg.out, json.dumps(info, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -302,18 +295,15 @@ def _summary(cfg: RunConfig, table: DistanceTable) -> list[tuple[str, float]]:
     return pairs
 
 
-def cmd_distances(cfg: RunConfig, route: str) -> int:
-    motion, info = _fit(cfg, route)
-    seq = _sequence(cfg)
-    table = distance_table(seq, motion, cfg.n_max)
+def cmd_distances(cfg: RunConfig) -> int:
+    table = distance_table(_sequence(cfg), FRAMES[cfg.family], cfg.n_max)
     if cfg.extrapolate:
         table = richardson_extrapolate(table)
     summary = _summary(cfg, table)
     assert np.isfinite(table.distance).all() and not np.isinf(table.extrapolated).any()
     columns = (table.n, table.distance, table.extrapolated)
-    doc = {"fit": info, "summary": dict(summary)}
     footer = "".join(f"# {key}={_fmt(value)}\n" for key, value in summary)
-    _write_table(cfg, "distances", columns, "n,parity,distance,extrapolated\n", doc, footer)
+    _write_table(cfg, "distances", columns, "n,parity,distance,extrapolated\n", {"summary": dict(summary)}, footer)
     return 0
 
 
@@ -325,54 +315,48 @@ def cmd_render(cfg: RunConfig) -> int:
     chain = build_chain(cfg.n_max)
     spiral_samples = None
     if cfg.overlay:
-        window = cfg.window or (max(3, cfg.n_max // 2), cfg.n_max)
-        if window[1] - window[0] + 1 < 8:
-            raise UsageError("--overlay needs a fit window of at least 8 indices")
-        seq = centers_all(cfg.n_max)
-        motion, _ = fit_motion_to_approximant(seq, window)
-        thetas = distance_table(seq, motion, cfg.n_max).theta
+        frame = FRAMES[Family.ALL_POLYGONS]
+        thetas = distance_table(centers_all(cfg.n_max), frame, cfg.n_max).theta
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
-        w = TARGET_SPIRAL.point(grid)
-        a = np.exp(1j * motion.rotation) * (NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)) * w + motion.translation
-        spiral_samples = a / APPROXIMANT_SCALE
+        spiral_samples = frame.from_spiral(TARGET_SPIRAL.point(grid))
     scene = scene_from_chain(chain, spiral_samples)
     _write(cfg.out, scene.to_svg())
     return 0
 
 
+#: Every option of the CLI, by flag.
+_OPTIONS = {
+    "--family": dict(choices=[f.value for f in Family]),
+    "--n-max": dict(dest="n_max", type=int),
+    "--window": dict(metavar="A:B"),
+    "--route": dict(choices=["approximant", "spiral"], default="approximant"),
+    "--format": dict(choices=FORMATS),
+    "--extrapolate": dict(action="store_true"),
+    "--overlay": dict(action="store_true"),
+    "--tolerance": dict(action="append", metavar="NAME=VALUE"),
+    "--out": dict(metavar="PATH"),
+    "--config": dict(metavar="PATH"),
+}
+
+#: Each subcommand's help and the options it reads besides --out and --config.
+_COMMANDS = {
+    "centers": ("write the centre sequence", ("--family", "--n-max", "--format")),
+    "verify": ("run verification suites", ("--tolerance",)),
+    "fit": ("fit the rigid motion", ("--family", "--n-max", "--window", "--route")),
+    "distances": ("emit the convergence table", ("--family", "--n-max", "--format", "--extrapolate")),
+    "render": ("write an SVG figure", ("--n-max", "--overlay")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyspiral", description="Polygon-chain spirals and their limiting distances.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, render: bool = False) -> None:
-        p.add_argument("--family", choices=[f.value for f in Family], default=None)
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--window", default=None, metavar="A:B")
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE")
-        p.add_argument("--config", default=None, metavar="PATH")
-        if render:
-            p.add_argument("--overlay", action="store_true")
-
-    p = sub.add_parser("centers", help="write the centre sequence")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suites", nargs="+", metavar="SUITE", help=f"{sorted(verify.SUITES)} or 'all'")
-    add_common(p)
-
-    p = sub.add_parser("fit", help="fit the rigid motion")
-    p.add_argument("--route", choices=["approximant", "spiral"], default="approximant")
-    add_common(p)
-
-    p = sub.add_parser("distances", help="emit the convergence table")
-    p.add_argument("--route", choices=["approximant", "spiral"], default="approximant")
-    p.add_argument("--extrapolate", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("render", help="write an SVG figure")
-    add_common(p, render=True)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "verify":
+            p.add_argument("suites", nargs="+", metavar="SUITE", help=f"{sorted(verify.SUITES)} or 'all'")
+        for option in options + ("--out", "--config"):
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -388,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             return cmd_fit(cfg, args.route)
         if args.command == "distances":
-            return cmd_distances(cfg, args.route)
+            return cmd_distances(cfg)
         if args.command == "render":
             return cmd_render(cfg)
         raise UsageError(f"unknown command {args.command!r}")

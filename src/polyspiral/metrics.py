@@ -1,12 +1,13 @@
-"""Rigid-motion estimation and convergence measurements against the spiral.
+"""Spiral coordinates of the centres and convergence measurements against the spiral.
 
-The centre sequences approach the spiral r = exp(4*theta/pi) only after an
-unknown orientation-preserving isometry.  Two estimation routes are
-implemented for both families: a direct fit against the family's
-closed-form centre approximant, and a cross-check that polishes a given
-motion with Nelder-Mead until the nearest-distance profile is constant
-within each parity class.  The distance table, Richardson extrapolation
-and the inner-side classification consume the fitted motion.
+The centre sequences approach the spiral r = exp(4*theta/pi) after one
+fixed orientation-preserving isometry per family, FRAMES[family].  The
+distance table, Richardson extrapolation and the inner-side classification
+measure the centres in those coordinates.  Two fit routes estimate the
+same motion from a window of centres and serve as cross-checks of the
+constants: a direct fit against the family's closed-form centre
+approximant, and a Nelder-Mead polish of a given motion until the
+nearest-distance profile is constant within each parity class.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
-from .geometry import CenterSequence
+from .geometry import CenterSequence, Family
 from .spiral import LogSpiral, nearest_distances
 
 TWO_PI = 2.0 * math.pi
@@ -29,8 +32,62 @@ APPROXIMANT_SCALE = TWO_PI * UNIT_COEFF
 #: Modulus of APPROXIMANT_SCALE; the normalization divisor s = 2*pi*sqrt(1 + pi^2/16).
 NORMALIZATION_MODULUS = abs(APPROXIMANT_SCALE)
 
+#: s^(1 + i*pi/4); dividing approximant coordinates by it gives spiral coordinates.
+NORMALIZATION = NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)
+
 #: The spiral every distance is measured against.
 TARGET_SPIRAL = LogSpiral(GROWTH_RATE, 0.0)
+
+#: fl(4/pi) - 4/pi, the error of TARGET_SPIRAL's growth rate (60-digit mpmath, rounded once).
+GROWTH_RATE_ERROR = 7.871470670072994e-17
+
+
+class SpiralFrame(NamedTuple):
+    """The rigid map w = K*(z - z0), |K| = 1, from centres to spiral coordinates.
+
+    FRAMES[family] holds each family's pair, computed in mpmath and rounded
+    to float64 once; tests/test_constants.py recomputes both.  With
+    A = APPROXIMANT_SCALE and s = |A|, K_f = A*exp(-i*phi_f)/s^(1+i*pi/4)
+    and z_f = lim (c_n - exp(i*phi_f)*approximant(n)/A).
+
+    The rotation phi_f is closed form.  The step leaving the s-gon has
+    length 2*apothem ~ s/pi and points at pi*O_s, where O_s, the sum of 1/j
+    over odd j <= s, is (ln s + gamma + ln 2)/2 + O(1/s).  Since
+    pi*(2 + i*pi/2) = A, the steps up to t sum to
+    exp(i*(pi/2)*(gamma + ln 2)) * t^(2+i*pi/2) / A at leading order, and
+    the all-polygon approximant leads with t^(2+i*pi/2):
+    phi_all = (pi/2)*(gamma + ln 2) = 1.99548129134760281...  The odd
+    chain's step into index k has length ~2k/pi and direction
+    pi*O_(2k+1) ~ (pi/2)*(ln k + gamma + 2 ln 2), so its centres lead with
+    2*exp(i*(pi/2)*(gamma + 2 ln 2)) * k^(2+i*pi/2) / A against the
+    approximant's 2^(1+i*pi/4) * k^(2+i*pi/2):
+    phi_odd = phi_all + (pi/4)*ln 2 = 2.53987781392350335...
+
+    The translation z_f is the constant of a least-squares fit of
+    c_n - exp(i*phi_f)*approximant(n)/A, from 30-digit centre sums, by a
+    constant plus (u_k + v_k*(-1)^n) * t^(i*pi/2) * t^-k for k = 0..4.
+    """
+
+    K: complex
+    z0: complex
+
+    def to_spiral(self, z):
+        return self.K * (np.asarray(z) - self.z0)
+
+    def from_spiral(self, w):
+        return self.z0 + np.asarray(w) / self.K
+
+
+FRAMES = MappingProxyType(
+    {
+        Family.ALL_POLYGONS: SpiralFrame(
+            complex(-0.9838909594867786, -0.1787696278459685), complex(0.4852604710267471, 0.4622830407098814)
+        ),
+        Family.ODD_POLYGONS: SpiralFrame(
+            complex(-0.9342448093979074, 0.3566323542712686), complex(0.39058750006264437, 0.24509658861573247)
+        ),
+    }
+)
 
 
 class FitError(RuntimeError):
@@ -39,7 +96,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class RigidMotion:
-    """Orientation-preserving plane isometry z -> exp(i*rotation) * z + translation."""
+    """A fitted alignment: APPROXIMANT_SCALE * centre ~ exp(i*rotation) * approximant + translation."""
 
     rotation: float
     translation: complex
@@ -47,55 +104,15 @@ class RigidMotion:
     def __post_init__(self):
         object.__setattr__(self, "rotation", self.rotation % TWO_PI)
 
-    def apply(self, z):
-        return cmath.exp(1j * self.rotation) * np.asarray(z) + self.translation
-
-    def inverse(self) -> "RigidMotion":
-        return RigidMotion(-self.rotation, -self.translation * cmath.exp(-1j * self.rotation))
-
-
-@dataclass(frozen=True)
-class SimilarityMap:
-    """Plane map z -> scale * exp(i*rotation) * z + translation, scale > 0."""
-
-    scale: float
-    rotation: float
-    translation: complex
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("scale must be > 0")
-
-    def apply(self, z):
-        return self.scale * cmath.exp(1j * self.rotation) * np.asarray(z) + self.translation
-
-    def compose(self, other: "SimilarityMap") -> "SimilarityMap":
-        """self after other: (self.compose(other)).apply(z) == self.apply(other.apply(z))."""
-        factor = self.scale * cmath.exp(1j * self.rotation)
-        return SimilarityMap(
-            self.scale * other.scale,
-            self.rotation + other.rotation,
-            factor * other.translation + self.translation,
-        )
-
-    @classmethod
-    def from_rigid(cls, motion: RigidMotion) -> "SimilarityMap":
-        return cls(1.0, motion.rotation, motion.translation)
-
-
-def normalization_map() -> SimilarityMap:
-    """The map w -> w / s^(1 + i*pi/4) with s = 2*pi*sqrt(1 + pi^2/16).
-
-    Composed with multiplication by APPROXIMANT_SCALE it has unit scale,
-    which is what makes the full centre-to-spiral transform an isometry.
-    """
-    s = NORMALIZATION_MODULUS
-    return SimilarityMap(1.0 / s, -0.25 * math.pi * math.log(s), 0.0)
+    def frame(self) -> SpiralFrame:
+        """The same alignment as a map from centres to spiral coordinates."""
+        k = APPROXIMANT_SCALE * cmath.exp(-1j * self.rotation) / NORMALIZATION
+        return SpiralFrame(k, self.translation / APPROXIMANT_SCALE)
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """Columnar distance measurements: index, distance, nearest angle, mapped point.
+    """Columnar distance measurements: index, distance, nearest angle, point in spiral coordinates.
 
     Each column is a numpy array with one entry per index; ``n`` is strictly
     increasing and parity is ``n % 2``.  ``extrapolated`` holds the Richardson
@@ -126,12 +143,6 @@ class FitDiagnostics:
     per_parity_mean: dict[Parity, float]
     objective: float | None = None
     evaluations: int = 0
-
-
-def _window_slice(seq: CenterSequence, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    start, end = window
-    centers = seq.slice(start, end)
-    return np.arange(start, end + 1), centers
 
 
 def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: complex) -> tuple[float, complex]:
@@ -169,7 +180,7 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
     both.  Residuals must shrink across the window, otherwise the parity
     handling or indexing is off and FitError is raised.
     """
-    ns, centers = _window_slice(seq, window)
+    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
     if len(ns) < 8:
         raise ValueError("window length must be >= 8")
     a = APPROXIMANT_SCALE * centers
@@ -196,7 +207,7 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
 
     slope = float(np.polyfit(np.log(ns), np.log(residuals + 1e-300), 1)[0])
     motion = RigidMotion(phi, c)
-    means = parity_means(distance_table(seq, motion, window[1], n_min=window[0]))
+    means = parity_means(distance_table(seq, motion.frame(), window[1], n_min=window[0]))
     diag = FitDiagnostics(float(residuals.max()), slope, means)
     return motion, diag
 
@@ -204,9 +215,9 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
 _POLISH_STEPS = (1e-4, 1e-2, 1e-2)
 
 
-def _parity_variance_objective(params, a: np.ndarray, parities: np.ndarray, spiral: LogSpiral, turns: int) -> float:
+def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray, spiral: LogSpiral, turns: int) -> float:
     phi, cx, cy = params
-    w = normalization_map().apply(np.exp(-1j * phi) * (a - complex(cx, cy)))
+    w = RigidMotion(phi, complex(cx, cy)).frame().to_spiral(centers)
     d, _ = nearest_distances(spiral, w, turns=turns)
     total = 0.0
     for val in (0, 1):
@@ -225,17 +236,18 @@ def fit_motion_to_spiral(
 ) -> tuple[RigidMotion, FitDiagnostics]:
     """Polish a motion until nearest distances are parity-constant.
 
-    Minimizes the summed within-parity variance of the normalized mapped
-    points' nearest distances with a Nelder-Mead simplex started at init
-    (in practice the approximant fit), steps 1e-4 in rotation and 1e-2 in
-    translation.  Used as an independent cross-check of that fit.
+    Minimizes the summed within-parity variance of the centres' nearest
+    distances in the motion's spiral coordinates with a Nelder-Mead simplex
+    started at init (in practice the approximant fit), steps 1e-4 in
+    rotation and 1e-2 in translation.  Used as an independent cross-check
+    of that fit.  The diagnostics' distances come from distance_table, so
+    they are measured against TARGET_SPIRAL.
     """
     from scipy.optimize import minimize  # ~0.55 s and ~50 MiB, so only the spiral route pays it
 
-    ns, centers = _window_slice(seq, window)
+    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
     if len(ns) < 16:
         raise ValueError("window length must be >= 16")
-    a = APPROXIMANT_SCALE * centers
     parities = ns % 2
 
     x0 = (init.rotation, init.translation.real, init.translation.imag)
@@ -243,7 +255,7 @@ def fit_motion_to_spiral(
     result = minimize(
         _parity_variance_objective,
         x0,
-        args=(a, parities, spiral, 1),
+        args=(centers, parities, spiral, 1),
         method="Nelder-Mead",
         options={"initial_simplex": simplex, "fatol": 1e-12, "xatol": 1e-10, "maxfev": 10_000, "maxiter": 10_000},
     )
@@ -252,7 +264,7 @@ def fit_motion_to_spiral(
 
     phi, cx, cy = result.x
     motion = RigidMotion(float(phi), complex(cx, cy))
-    table = distance_table(seq, motion, window[1], n_min=window[0], spiral=spiral)
+    table = distance_table(seq, motion.frame(), window[1], n_min=window[0])
     diag = FitDiagnostics(
         residual_max=float(table.distance.max()),
         residual_slope=0.0,
@@ -263,27 +275,21 @@ def fit_motion_to_spiral(
     return motion, diag
 
 
-def distance_table(
-    seq: CenterSequence,
-    motion: RigidMotion,
-    n_max: int,
-    n_min: int | None = None,
-    spiral: LogSpiral = TARGET_SPIRAL,
-    turns: int = 2,
-) -> DistanceTable:
-    """Per-index nearest distances of the mapped, normalized centres.
+def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:
+    """Per-index nearest distances to TARGET_SPIRAL of the centres in the frame's coordinates.
 
-    Each centre is scaled by APPROXIMANT_SCALE, pulled back through the
-    fitted motion's inverse, normalized to unit scale, and measured against
-    the target spiral.
+    TARGET_SPIRAL grows at fl(4/pi) = 4/pi + GROWTH_RATE_ERROR, which puts
+    it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); every
+    mapped centre lies on the inner side, so that radial offset, projected
+    on the normal, is subtracted from each distance.
     """
     if n_min is None:
         n_min = seq.first_index
     if not seq.first_index <= n_min <= n_max <= seq.last_index:
         raise ValueError(f"[{n_min}, {n_max}] outside sequence range [{seq.first_index}, {seq.last_index}]")
-    a = APPROXIMANT_SCALE * seq.slice(n_min, n_max)
-    w = normalization_map().apply(motion.inverse().apply(a))
-    d, theta = nearest_distances(spiral, w, turns=turns)
+    w = frame.to_spiral(seq.slice(n_min, n_max))
+    d, theta = nearest_distances(TARGET_SPIRAL, w)
+    d -= GROWTH_RATE_ERROR * theta * TARGET_SPIRAL.radius(theta) / math.sqrt(1.0 + GROWTH_RATE**2)
     return DistanceTable(np.arange(n_min, n_max + 1), d, theta, w)
 
 
@@ -300,12 +306,13 @@ def parity_means(table: DistanceTable, extrapolated: bool = False) -> dict[Parit
 
 
 def richardson_extrapolate(table: DistanceTable, stride: int = 2) -> DistanceTable:
-    """Eliminate the 1/n tail by pairing each index with one near stride*n.
+    """Eliminate the 1/n^2 tail by pairing each index with one near stride*n.
 
-    The partner must have the same parity; when stride*n itself flips
-    parity the nearest same-parity neighbour (stride*n +- 1) is used, with
-    the exact two-point elimination (m*d(m) - n*d(n)) / (m - n).  Indices
-    without a partner get NaN.
+    With the exact motion the distances approach their limits as
+    L + kappa/n^2 per parity.  The partner must have the same parity; when
+    stride*n itself flips parity the nearest same-parity neighbour
+    (stride*n +- 1) is used, with the exact two-point elimination
+    (m^2*d(m) - n^2*d(n)) / (m^2 - n^2).  Indices without a partner get NaN.
     """
     if stride < 2:
         raise ValueError("stride must be >= 2")
@@ -316,8 +323,8 @@ def richardson_extrapolate(table: DistanceTable, stride: int = 2) -> DistanceTab
         m = stride * n + offset
         j = np.minimum(np.searchsorted(n, m), len(n) - 1)
         hit = unpaired & (n[j] == m) & ((m - n) % 2 == 0) & (m != n)
-        m, j = m[hit], j[hit]
-        extrapolated[hit] = (m * d[j] - n[hit] * d[hit]) / (m - n[hit])
+        m2, n2 = m[hit].astype(float) ** 2, n[hit].astype(float) ** 2
+        extrapolated[hit] = (m2 * d[j[hit]] - n2 * d[hit]) / (m2 - n2)
         unpaired &= ~hit
     return replace(table, extrapolated=extrapolated)
 

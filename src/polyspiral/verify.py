@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics as asym
-from .geometry import CenterSequence, centers_all, compensated_cumsum
-from .metrics import APPROXIMANT_SCALE, NORMALIZATION_MODULUS, fit_motion_to_approximant
+from .geometry import Family, centers_all, centers_odd, compensated_cumsum
+from .metrics import FRAMES, NORMALIZATION, NORMALIZATION_MODULUS
 from .spiral import offset_distance_profile
 
 DEFAULT_TOLERANCES = {
@@ -207,19 +207,18 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
     return results
 
 
-def suite_approximant(seq: CenterSequence | None = None, window: tuple[int, int] = (500, 1000), tolerances: dict | None = None) -> list[CheckResult]:
-    """After the motion fit, scaled-centre residuals decay like 1/n."""
+def suite_approximant(window: tuple[int, int] = (500, 1000), tolerances: dict | None = None) -> list[CheckResult]:
+    """In each family's fixed frame, centre residuals from the approximant decay like 1/n (approximant units)."""
     tol = _tol(tolerances, "approximant-residual-bound")
-    if seq is None:
-        seq = centers_all(window[1])
-    motion, _ = fit_motion_to_approximant(seq, window)
     ns = np.arange(window[0], window[1] + 1)
-    a = APPROXIMANT_SCALE * seq.slice(*window)
-    b = asym.approximant(ns, seq.family)
-    residual = np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))
-    worst = float((ns * residual).max())
-    detail = f"max n*residual {worst:.3e} on window {window}, bound {tol}"
-    return [_check("approximant-residual-rate", worst, tol, detail)]
+    results = []
+    for family, centers in ((Family.ALL_POLYGONS, centers_all), (Family.ODD_POLYGONS, centers_odd)):
+        w = FRAMES[family].to_spiral(centers(window[1]).slice(*window))
+        residual = np.abs(w * NORMALIZATION - asym.approximant(ns, family))
+        worst = float((ns * residual).max())
+        detail = f"max n*residual {worst:.3e} on window {window}, bound {tol}"
+        results.append(_check(f"approximant-residual-rate-{family.value}", worst, tol, detail))
+    return results
 
 
 OFFSET_CASES = ((4.0 / math.pi, 1.0, 5.0), (4.0 / math.pi, 5.0, 25.0), (1.0, 1.0, 5.0))

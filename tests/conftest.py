@@ -2,8 +2,9 @@
 
 import pytest
 
-from polyspiral.geometry import centers_all, centers_odd
+from polyspiral.geometry import Family, centers_all, centers_odd
 from polyspiral.metrics import (
+    FRAMES,
     TARGET_SPIRAL,
     distance_table,
     fit_motion_to_approximant,
@@ -27,9 +28,8 @@ def p_fit(p_seq):
 
 
 @pytest.fixture(scope="session")
-def p_table(p_seq, p_fit):
-    motion, _ = p_fit
-    return distance_table(p_seq, motion, 2000)
+def p_table(p_seq):
+    return distance_table(p_seq, FRAMES[Family.ALL_POLYGONS], 2000)
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,5 @@ def q_spiral_fit(q_seq, q_fit):
 
 
 @pytest.fixture(scope="session")
-def q_table(q_seq, q_fit):
-    motion, _ = q_fit
-    return distance_table(q_seq, motion, 2000)
+def q_table(q_seq):
+    return distance_table(q_seq, FRAMES[Family.ODD_POLYGONS], 2000)

@@ -1,9 +1,10 @@
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from polyspiral.cli import main
+from polyspiral.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -87,9 +88,7 @@ class TestFitAndDistances:
         assert info["rotation"] == pytest.approx(1.9954812913476028, abs=1e-6)
 
     def test_distances_csv_schema(self, capsys):
-        code, out, _ = run(
-            capsys, "distances", "--family", "all", "--n-max", "240", "--window", "60:120", "--extrapolate"
-        )
+        code, out, _ = run(capsys, "distances", "--family", "all", "--n-max", "240", "--extrapolate")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,parity,distance,extrapolated"
@@ -98,29 +97,28 @@ class TestFitAndDistances:
         assert any(line.startswith("# target_combined_mean=") for line in lines)
 
     def test_distances_json_summary_targets(self, capsys):
-        code, out, _ = run(
-            capsys, "distances", "--family", "all", "--n-max", "240", "--window", "60:120", "--format", "json"
-        )
+        code, out, _ = run(capsys, "distances", "--family", "all", "--n-max", "240", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert sorted(payload) == ["records", "summary"]
         assert payload["summary"]["target_even"] == pytest.approx(5.0 / 6.0)
         assert payload["summary"]["target_odd"] == pytest.approx(7.0 / 12.0)
         assert payload["summary"]["raw_mean_even"] == pytest.approx(5.0 / 6.0, abs=5e-3)
 
     def test_determinism_small(self, capsys):
-        args = ("distances", "--family", "all", "--n-max", "240", "--window", "60:120", "--extrapolate")
+        args = ("distances", "--family", "all", "--n-max", "240", "--extrapolate")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
 
     def test_window_must_fit(self, capsys):
-        code, _, _ = run(capsys, "distances", "--n-max", "100", "--window", "50:200")
+        code, _, _ = run(capsys, "fit", "--n-max", "100", "--window", "50:200")
         assert code == 2
-        code, _, _ = run(capsys, "distances", "--n-max", "100", "--window", "banana")
+        code, _, _ = run(capsys, "fit", "--n-max", "100", "--window", "banana")
         assert code == 2
 
     def test_odd_family_default_window_too_short(self, capsys):
-        code, out, err = run(capsys, "distances", "--family", "odd", "--n-max", "2")
+        code, out, err = run(capsys, "fit", "--family", "odd", "--n-max", "2")
         assert code == 2
         assert out == "" and err.startswith("error: fit window 2:2: window length must be >= 8")
 
@@ -141,14 +139,19 @@ class TestFitAndDistances:
     def test_odd_family_short_default_window(self, capsys):
         # the default window 7:15 has 9 points: enough for the approximant
         # route, too few for the spiral route (16)
-        code, out, _ = run(capsys, "distances", "--family", "odd", "--n-max", "30")
-        assert code == 0
-        assert "# target_odd=0.291666666666667" in out.splitlines()
+        code, out, _ = run(capsys, "fit", "--family", "odd", "--n-max", "30")
+        assert code == 0 and json.loads(out)["window"] == [7, 15]
+        code, _, err = run(capsys, "fit", "--family", "odd", "--n-max", "30", "--route", "spiral")
+        assert code == 2 and "window length must be >= 16" in err
+
+    def test_distances_need_no_fit_window(self, capsys):
+        code, out, _ = run(capsys, "distances", "--family", "odd", "--n-max", "2")
+        lines = out.splitlines()
+        assert code == 0 and lines[1].startswith("2,even,")
+        assert "# target_even=0.291666666666667" in lines and "# inner_side_fraction=1" in lines
 
     def test_odd_family_distances_summary(self, capsys):
-        code, out, _ = run(
-            capsys, "distances", "--family", "odd", "--n-max", "400", "--window", "100:200", "--format", "json"
-        )
+        code, out, _ = run(capsys, "distances", "--family", "odd", "--n-max", "400", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["target_even"] == pytest.approx(7.0 / 24.0)
@@ -216,12 +219,12 @@ class TestConfigPrecedence:
             ("centers", '{"tolerances": {"gap-tolerance": "nan"}}'),
             ("fit", '{"n_max": 10}'),  # default window too short for the fit
             ("fit", '{"family": "odd", "n_max": 20}'),
-            ("distances", '{"n_max": 3}'),
+            ("fit", '{"n_max": 3}'),
         ],
         ids=[
             "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
             "window", "format", "tolerance",
-            "fit-window-all", "fit-window-odd", "distances-n-max-3",
+            "fit-window-all", "fit-window-odd", "fit-n-max-3",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, command, text):
@@ -230,3 +233,38 @@ class TestConfigPrecedence:
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_config_window_leaves_distances_unchanged(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"window": "5:9"}))
+        args = ("distances", "--n-max", "300", "--extrapolate")
+        _, plain, _ = run(capsys, *args)
+        code, configured, _ = run(capsys, *args, "--config", str(cfg))
+        assert code == 0 and configured == plain
+
+
+class TestOptions:
+    """Each subcommand declares only the options it reads."""
+
+    def test_option_count(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        counts = {name: sum(bool(a.option_strings) and a.dest != "help" for a in p._actions) for name, p in commands.items()}
+        assert counts == {"centers": 5, "verify": 3, "fit": 6, "distances": 6, "render": 4}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "distances --route spiral",
+            "distances --window 5:9",
+            "centers --window 5:9",
+            "verify all --n-max 5",
+            "render --family all",
+        ],
+    )
+    def test_dead_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err

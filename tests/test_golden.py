@@ -7,10 +7,10 @@ run from the repository root with ``PYTHONPATH=src``:
     python -m polyspiral.cli centers --family all --n-max 60 --format json --out tests/golden/centers_all.json
     python -m polyspiral.cli centers --family odd --n-max 60 --out tests/golden/centers_odd.csv
     python -m polyspiral.cli centers --family odd --n-max 60 --format json --out tests/golden/centers_odd.json
-    python -m polyspiral.cli distances --family all --n-max 240 --window 60:120 --extrapolate --out tests/golden/distances_all.csv
-    python -m polyspiral.cli distances --family all --n-max 240 --window 60:120 --extrapolate --format json --out tests/golden/distances_all.json
-    python -m polyspiral.cli distances --family odd --n-max 400 --window 100:200 --extrapolate --out tests/golden/distances_odd.csv
-    python -m polyspiral.cli distances --family odd --n-max 400 --window 100:200 --extrapolate --format json --out tests/golden/distances_odd.json
+    python -m polyspiral.cli distances --family all --n-max 240 --extrapolate --out tests/golden/distances_all.csv
+    python -m polyspiral.cli distances --family all --n-max 240 --extrapolate --format json --out tests/golden/distances_all.json
+    python -m polyspiral.cli distances --family odd --n-max 400 --extrapolate --out tests/golden/distances_odd.csv
+    python -m polyspiral.cli distances --family odd --n-max 400 --extrapolate --format json --out tests/golden/distances_odd.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route approximant --out tests/golden/fit_all_approximant.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route spiral --out tests/golden/fit_all_spiral.json
     python -m polyspiral.cli fit --family odd --n-max 400 --window 100:200 --route approximant --out tests/golden/fit_odd_approximant.json
@@ -33,10 +33,10 @@ CASES = {
     "centers_all.json": "centers --family all --n-max 60 --format json",
     "centers_odd.csv": "centers --family odd --n-max 60",
     "centers_odd.json": "centers --family odd --n-max 60 --format json",
-    "distances_all.csv": "distances --family all --n-max 240 --window 60:120 --extrapolate",
-    "distances_all.json": "distances --family all --n-max 240 --window 60:120 --extrapolate --format json",
-    "distances_odd.csv": "distances --family odd --n-max 400 --window 100:200 --extrapolate",
-    "distances_odd.json": "distances --family odd --n-max 400 --window 100:200 --extrapolate --format json",
+    "distances_all.csv": "distances --family all --n-max 240 --extrapolate",
+    "distances_all.json": "distances --family all --n-max 240 --extrapolate --format json",
+    "distances_odd.csv": "distances --family odd --n-max 400 --extrapolate",
+    "distances_odd.json": "distances --family odd --n-max 400 --extrapolate --format json",
     "fit_all_approximant.json": "fit --family all --n-max 200 --window 100:200 --route approximant",
     "fit_all_spiral.json": "fit --family all --n-max 200 --window 100:200 --route spiral",
     "fit_odd_approximant.json": "fit --family odd --n-max 400 --window 100:200 --route approximant",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyspiral import metrics as mt
-from polyspiral.asymptotics import Parity, approximant
+from polyspiral.asymptotics import EULER_GAMMA, Parity, approximant
 from polyspiral.geometry import CenterSequence, Family
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -17,53 +17,25 @@ class TestRigidMotion:
     @settings(max_examples=100, deadline=None)
     @given(angles, finite, finite, finite, finite)
     def test_round_trip(self, phi, cx, cy, zx, zy):
-        motion = mt.RigidMotion(phi, complex(cx, cy))
+        frame = mt.RigidMotion(phi, complex(cx, cy)).frame()
         z = complex(zx, zy)
-        back = motion.inverse().apply(motion.apply(z))
-        assert abs(back - z) < 1e-12 * max(1.0, abs(z), abs(motion.translation))
+        back = frame.from_spiral(frame.to_spiral(z))
+        assert abs(back - z) < 1e-12 * max(1.0, abs(z), abs(frame.z0))
 
     def test_rotation_normalized(self):
         assert mt.RigidMotion(-math.pi, 0).rotation == pytest.approx(math.pi)
         assert 0.0 <= mt.RigidMotion(7.0 * math.pi, 1j).rotation < 2.0 * math.pi
 
     def test_unit_modulus_linear_part(self):
-        motion = mt.RigidMotion(1.2345, 3.0 - 4.0j)
-        assert abs(motion.apply(1.0) - motion.apply(0.0)) == pytest.approx(1.0, abs=1e-15)
+        frame = mt.RigidMotion(1.2345, 3.0 - 4.0j).frame()
+        assert abs(frame.to_spiral(1.0) - frame.to_spiral(0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestSimilarityMap:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(min_value=0.1, max_value=10.0), angles, finite, finite,
-        st.floats(min_value=0.1, max_value=10.0), angles, finite, finite,
-        finite, finite,
-    )
-    def test_composition_applies_in_order(self, s1, r1, x1, y1, s2, r2, x2, y2, zx, zy):
-        a = mt.SimilarityMap(s1, r1, complex(x1, y1))
-        b = mt.SimilarityMap(s2, r2, complex(x2, y2))
-        z = complex(zx, zy)
-        combined = a.compose(b).apply(z)
-        nested = a.apply(b.apply(z))
-        assert abs(combined - nested) < 1e-9 * max(1.0, abs(nested))
-
-    def test_composition_associative(self):
-        a = mt.SimilarityMap(2.0, 0.3, 1.0 + 1.0j)
-        b = mt.SimilarityMap(0.5, -0.4 % (2 * math.pi), -2.0j)
-        c = mt.SimilarityMap(1.5, 2.0, 3.0)
-        z = 0.7 - 0.2j
-        left = a.compose(b).compose(c).apply(z)
-        right = a.compose(b.compose(c)).apply(z)
-        assert abs(left - right) < 1e-12
-
-    def test_unit_scale_matches_rigid_motion(self):
-        motion = mt.RigidMotion(0.8, 2.0 - 1.0j)
-        lifted = mt.SimilarityMap.from_rigid(motion)
-        for z in (0j, 1.0 + 2.0j, -3.5j):
-            assert abs(lifted.apply(z) - motion.apply(z)) < 1e-14
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            mt.SimilarityMap(0.0, 0.0, 0.0)
+#: The closed-form rotations (pi/2)(gamma + ln 2) and that plus (pi/4) ln 2.
+PHI = {
+    Family.ALL_POLYGONS: 0.5 * math.pi * (EULER_GAMMA + math.log(2.0)),
+    Family.ODD_POLYGONS: 0.5 * math.pi * (EULER_GAMMA + math.log(2.0)) + 0.25 * math.pi * math.log(2.0),
+}
 
 
 class TestNormalization:
@@ -72,18 +44,16 @@ class TestNormalization:
         assert mt.NORMALIZATION_MODULUS == pytest.approx(7.9894111399312806, abs=1e-12)
 
     def test_composite_with_scale_factor_is_isometry(self):
-        normalization = mt.normalization_map()
-        composite_scale = abs(mt.APPROXIMANT_SCALE) * normalization.scale
-        assert composite_scale == pytest.approx(1.0, abs=1e-12)
+        for frame in mt.FRAMES.values():
+            assert abs(frame.K) == pytest.approx(1.0, abs=1e-15)
 
     def test_rotation_decomposition(self):
+        # K_f = A exp(-i phi_f) / s^(1 + i pi/4): its phase is arg A - phi_f - (pi/4) ln s
         s = mt.NORMALIZATION_MODULUS
-        normalization = mt.normalization_map()
-        assert normalization.rotation == pytest.approx(-0.25 * math.pi * math.log(s), abs=1e-15)
-        composite_rotation = cmath.phase(mt.APPROXIMANT_SCALE) + normalization.rotation
-        z = 1.234 - 0.567j
-        direct = normalization.apply(mt.APPROXIMANT_SCALE * z)
-        assert cmath.phase(direct / z) == pytest.approx(composite_rotation, abs=1e-12)
+        for family, frame in mt.FRAMES.items():
+            expected = cmath.phase(mt.APPROXIMANT_SCALE) - PHI[family] - 0.25 * math.pi * math.log(s)
+            assert cmath.exp(1j * expected) == pytest.approx(frame.K, abs=1e-15)
+            assert mt.RigidMotion(PHI[family], 0.0).frame().K == pytest.approx(frame.K, abs=1e-15)
 
 
 def _synthetic_sequence(first, count, phi, c, noise=None):
@@ -139,8 +109,7 @@ class TestSpiralFit:
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
         w = mt.TARGET_SPIRAL.point(theta)
         phi0, c0 = 1.234, 3.5 - 2.25j
-        a = np.exp(1j * phi0) * (mt.NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)) * w + c0
-        seq = CenterSequence(Family.ALL_POLYGONS, 300, a / mt.APPROXIMANT_SCALE)
+        seq = CenterSequence(Family.ALL_POLYGONS, 300, mt.RigidMotion(phi0, c0).frame().from_spiral(w))
         init = mt.RigidMotion(phi0 + 1e-4, c0 + 1e-4 - 1e-4j)
         motion, diag = mt.fit_motion_to_spiral(seq, mt.TARGET_SPIRAL, (300, 499), init=init)
         assert diag.objective <= 1e-10
@@ -186,12 +155,12 @@ class TestDistanceTable:
         assert float(np.std(window.distance[window.n % 2 == 0])) <= 1e-2
         assert float(np.std(window.distance[window.n % 2 == 1])) <= 1e-2
 
-    def test_range_guards(self, p_seq, p_fit):
-        motion, _ = p_fit
+    def test_range_guards(self, p_seq):
+        frame = mt.FRAMES[Family.ALL_POLYGONS]
         with pytest.raises(ValueError):
-            mt.distance_table(p_seq, motion, 5000)
+            mt.distance_table(p_seq, frame, 5000)
         with pytest.raises(ValueError):
-            mt.distance_table(p_seq, motion, 100, n_min=2)
+            mt.distance_table(p_seq, frame, 100, n_min=2)
 
     def test_records_sorted_with_parities(self, p_table):
         assert p_table.n[0] == 3 and p_table.n.size == 1998
@@ -209,7 +178,7 @@ class TestDistanceTable:
 class TestRichardson:
     def test_exact_linear_tail_eliminated(self):
         ns = np.arange(10, 81)
-        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns), stride=2)
+        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns**2), stride=2)
         have = ~np.isnan(out.extrapolated)
         assert out.extrapolated[have] == pytest.approx(0.25, abs=1e-12)
         assert np.any(have & (out.n % 2 == 1))
@@ -236,12 +205,12 @@ class TestRichardson:
     )
     def test_matches_per_index_partner_search(self, indices, stride, scale):
         ns = sorted(indices)
-        distances = [scale + 1.0 / n + 0.01 * math.sin(n) for n in ns]
+        distances = [scale + 1.0 / n**2 + 0.01 * math.sin(n) for n in ns]
         by_n = dict(zip(ns, distances))
         expected = []
         for n, d in zip(ns, distances):
             m = next((m for m in (stride * n, stride * n + 1, stride * n - 1) if m in by_n and (m - n) % 2 == 0), None)
-            expected.append(math.nan if m is None else (m * by_n[m] - n * d) / (m - n))
+            expected.append(math.nan if m is None else (m * m * by_n[m] - n * n * d) / (m * m - n * n))
         out = mt.richardson_extrapolate(_table(ns, distances), stride=stride)
         np.testing.assert_array_equal(out.extrapolated, np.array(expected))
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import polyspiral
 from polyspiral import cli
 from polyspiral.geometry import CenterSequence, Family
-from polyspiral.metrics import distance_table, richardson_extrapolate
+from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(polyspiral.__file__).resolve().parents[1]
@@ -79,8 +79,7 @@ class TestRecordFormatter:
         n = np.arange(3, 3 + len(rows))
         d = np.array([x for x, _ in rows])
         e = np.array([math.nan if y is None else y for _, y in rows])
-        fit = {"objective": None, "rotation": 1.0, "window": [3, 4]}
-        doc = {"fit": fit, "summary": summary}
+        doc = {"summary": summary}
         text = stdout_of(cli._write_table, cli.RunConfig(fmt="json"), "distances", (n, d, e), "", doc)
         records = [
             {"n": int(k), "parity": cli._PARITY[k % 2], "distance": x, "extrapolated": y} for k, (x, y) in zip(n, rows)
@@ -115,8 +114,7 @@ def centers_reference(n_max: int, fmt: str) -> str:
 
 def distances_reference(n_max: int, fmt: str) -> str:
     cfg = cli.RunConfig(n_max=n_max, extrapolate=True)
-    motion, info = cli._fit(cfg, "approximant")
-    table = richardson_extrapolate(distance_table(cli._sequence(cfg), motion, n_max))
+    table = richardson_extrapolate(distance_table(cli._sequence(cfg), FRAMES[Family.ALL_POLYGONS], n_max))
     summary = cli._summary(cfg, table)
     extrapolated = [None if math.isnan(x) else x for x in table.extrapolated.tolist()]
     rows = list(zip(table.n.tolist(), table.distance.tolist(), extrapolated))
@@ -124,7 +122,7 @@ def distances_reference(n_max: int, fmt: str) -> str:
         lines = [(str(n), cli._PARITY[n % 2], cli._fmt(d), "" if x is None else cli._fmt(x)) for n, d, x in rows]
         return csv_reference("n,parity,distance,extrapolated", lines, [f"# {k}={cli._fmt(v)}" for k, v in summary])
     records = [{"n": n, "parity": cli._PARITY[n % 2], "distance": d, "extrapolated": x} for n, d, x in rows]
-    return json.dumps({"fit": info, "records": records, "summary": dict(summary)}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"records": records, "summary": dict(summary)}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("rows", [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1])
@@ -165,7 +163,7 @@ class TestIoContract:
 
     def test_usage_error_creates_no_file(self, tmp_path, capsys):
         target = tmp_path / "X"
-        assert cli.main(["distances", "--n-max", "3", "--out", str(target)]) == 2
+        assert cli.main(["fit", "--n-max", "10", "--out", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not target.exists()
 
@@ -177,7 +175,8 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 class TestLazyScipy:
     def test_cli_import_leaves_scipy_out(self):
-        proc = run_python("-c", "import sys, polyspiral.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        code = "import sys, polyspiral.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))"
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
