@@ -19,6 +19,7 @@ import numpy as np
 
 from . import verify
 from .asymptotics import Parity, limit_distance
+from .blocks import BLOCK, map_blocks
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     FRAMES,
@@ -63,17 +64,17 @@ class RunConfig:
         first = self.first_index
         if not first <= self.n_max <= MAX_N:
             raise UsageError(f"--n-max must be in [{first}, {MAX_N}]")
-        if self.window is not None:
-            lo, hi = self.window
-            if not (first <= lo < hi <= self.n_max):
-                raise UsageError(f"--window must satisfy {first} <= A < B <= n_max")
         if self.fmt not in FORMATS:
             raise UsageError(f"format must be one of {list(FORMATS)}, not {self.fmt!r}")
 
     def fit_window(self) -> tuple[int, int]:
-        if self.window is not None:
-            return self.window
+        """The window of fit; only fit reads it, so only fit checks it against n_max."""
         first = self.first_index
+        if self.window is not None:
+            lo, hi = self.window
+            if not (first <= lo < hi <= self.n_max):
+                raise UsageError(f"--window must satisfy {first} <= A < B <= n_max")
+            return self.window
         return max(first, self.n_max // 4), min(self.n_max, max(first + 1, self.n_max // 2))
 
 
@@ -164,24 +165,28 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-#: Rows formatted per write call, so output memory is O(_CHUNK) whatever n_max is.
-_CHUNK = 2**14
-
-
 def _write(out: str | None, head: str, tail: str = "", rows=None, columns=(), sep: str = "") -> None:
     """The CLI's one output path: head, rows, then tail, to out or to stdout.
 
-    rows(*lists) formats _CHUNK entries of each numpy column at a time into
-    row strings joined by sep.  sys.stdout is looked up per call because
+    rows(*lists) formats BLOCK entries of each numpy column at a time into
+    row strings joined by sep; map_blocks formats the blocks on every CPU
+    and hands them back in order.  sys.stdout is looked up per call because
     callers swap it (tests, perfbench/tracer.py).  Commands compute
     everything before calling this, so a failed run writes nothing.
     """
+
+    def block(start: int) -> str:
+        chunk = rows(*(column[start : start + BLOCK].tolist() for column in columns))
+        return (sep if start else "") + sep.join(chunk)
+
     try:
-        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
+        with (
+            contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh,
+            contextlib.closing(map_blocks(block, len(columns[0]) if columns else 0)) as blocks,
+        ):
             fh.write(head)
-            for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
-                chunk = rows(*(column[start : start + _CHUNK].tolist() for column in columns))
-                fh.write((sep if start else "") + sep.join(chunk))
+            for text in blocks:
+                fh.write(text)
             fh.write(tail)
             fh.flush()
     except OSError as exc:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
+from .blocks import BLOCK, map_blocks
 from .geometry import CenterSequence, Family
 from .spiral import LogSpiral, nearest_distances
 
@@ -281,14 +282,21 @@ def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: i
     TARGET_SPIRAL grows at fl(4/pi) = 4/pi + GROWTH_RATE_ERROR, which puts
     it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); every
     mapped centre lies on the inner side, so that radial offset, projected
-    on the normal, is subtracted from each distance.
+    on the normal, is subtracted from each distance.  The nearest points
+    are solved BLOCK at a time through map_blocks, on every CPU.
     """
     if n_min is None:
         n_min = seq.first_index
     if not seq.first_index <= n_min <= n_max <= seq.last_index:
         raise ValueError(f"[{n_min}, {n_max}] outside sequence range [{seq.first_index}, {seq.last_index}]")
     w = frame.to_spiral(seq.slice(n_min, n_max))
-    d, theta = nearest_distances(TARGET_SPIRAL, w)
+
+    def solve(start: int) -> tuple[np.ndarray, np.ndarray]:
+        return nearest_distances(TARGET_SPIRAL, w[start : start + BLOCK])
+
+    d, theta = np.empty(w.size), np.empty(w.size)
+    for i, (d_block, theta_block) in enumerate(map_blocks(solve, w.size)):
+        d[i * BLOCK : (i + 1) * BLOCK], theta[i * BLOCK : (i + 1) * BLOCK] = d_block, theta_block
     d -= GROWTH_RATE_ERROR * theta * TARGET_SPIRAL.radius(theta) / math.sqrt(1.0 + GROWTH_RATE**2)
     return DistanceTable(np.arange(n_min, n_max + 1), d, theta, w)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BLOCK
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -58,8 +60,6 @@ def spiral_point(spiral: LogSpiral, theta: float) -> complex:
     return complex(spiral.point(theta))
 
 
-#: Points solved together; temporaries are (2*turns + 2) x _BLOCK, outputs O(N).
-_BLOCK = 1 << 14
 #: Newton iterations per start, fixed so every point runs the same vector ops.
 _NEWTON_ITERS = 8
 #: Largest angle change of one iteration, in radians.
@@ -114,8 +114,11 @@ def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
     _MAX_STEP radians; where g'' <= 0 a descent step of _MAX_STEP replaces
     the Newton step; iterates are clamped to their branch and, for an
     offset spiral, to theta >= min_theta.  The start with the smallest
-    distance wins.  Points are solved _BLOCK at a time, so temporaries are
-    O(_BLOCK * turns) and only the outputs grow with the number of points.
+    distance wins.  Points are solved BLOCK at a time, so temporaries are
+    (2*turns + 2) x BLOCK and only the outputs grow with the number of
+    points.  The solve runs in the calling process: the spiral-route fit
+    calls it ~2,000 times per fit, and forking workers per call would cost
+    more than it saves.  distance_table spreads its blocks over the CPUs.
 
     Checked against dense angle sampling for beta from 0.05 to 3, offsets
     up to 100 and moduli over 22 e-folds; a steeper spiral may need more
@@ -128,8 +131,8 @@ def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
         raise ValueError("points must be nonzero (the curve accumulates at the origin)")
     distances = np.empty(z.shape)
     thetas = np.empty(z.shape)
-    for i in range(0, z.size, _BLOCK):
-        distances[i : i + _BLOCK], thetas[i : i + _BLOCK] = _solve_block(spiral, z[i : i + _BLOCK], turns)
+    for i in range(0, z.size, BLOCK):
+        distances[i : i + BLOCK], thetas[i : i + BLOCK] = _solve_block(spiral, z[i : i + BLOCK], turns)
     return distances, thetas
 
 

@@ -242,6 +242,16 @@ class TestConfigPrecedence:
         code, configured, _ = run(capsys, *args, "--config", str(cfg))
         assert code == 0 and configured == plain
 
+    @pytest.mark.parametrize("command", ["centers", "render"])
+    def test_config_window_is_checked_only_by_fit(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"window": "5:9"}))
+        code, out, err = run(capsys, command, "--n-max", "5", "--config", str(cfg))
+        assert code == 0 and out and err == ""
+        code, out, err = run(capsys, "fit", "--n-max", "5", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: --window must satisfy 3 <= A < B <= n_max\n"
+
 
 class TestOptions:
     """Each subcommand declares only the options it reads."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyspiral import spiral as sp
+from polyspiral.blocks import BLOCK
 
 BETA = 4.0 / math.pi
 BASE = sp.LogSpiral(BETA, 0.0)
@@ -156,11 +157,11 @@ class TestNewtonSolver:
 
     def test_block_boundary(self):
         rng = np.random.default_rng(9)
-        n = sp._BLOCK + 3
+        n = BLOCK + 3
         z = rng.uniform(0.5, 1e3, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
         ds, thetas = sp.nearest_distances(BASE, z)
-        edge = [0, 1, sp._BLOCK - 2, sp._BLOCK - 1, sp._BLOCK, sp._BLOCK + 1, sp._BLOCK + 2]
-        for i in edge + list(range(2, sp._BLOCK - 2, 97)):
+        edge = [0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2]
+        for i in edge + list(range(2, BLOCK - 2, 97)):
             d, theta = sp.nearest_distance(BASE, complex(z[i]))
             assert abs(ds[i] - d) <= 1e-12
             assert abs(thetas[i] - theta) <= 1e-12
