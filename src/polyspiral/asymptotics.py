@@ -9,7 +9,6 @@ spiral r = exp(4*theta/pi), and the limiting distances.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,19 +30,6 @@ LOG_TWIST = 0.5j * math.pi
 #: 1 + i*pi/4, the coefficient tying the three leading terms together.
 UNIT_COEFF = 1.0 + 0.25j * math.pi
 
-# Weights recombining the power sums S_1, S_0, S_-1 into the centre sum.
-# The inverse-power weight is kept as exact rationals (pi-multiple real
-# part, rational imaginary part) to guard against transcription drift.
-INVERSE_WEIGHT_PI_PART = Fraction(-35, 96)
-INVERSE_WEIGHT_IMAG = Fraction(1, 48)
-
-
-def power_sum_weights() -> tuple[complex, complex, complex]:
-    """Weights (w1, w0, wm1) with centre sum ~ w1*S_1 + w0*S_0 + wm1*S_-1."""
-    wm1 = complex(float(INVERSE_WEIGHT_PI_PART) * math.pi, float(INVERSE_WEIGHT_IMAG))
-    return 1.0 / math.pi, -0.25j, wm1
-
-
 class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
@@ -61,19 +47,6 @@ class BernoulliPoly:
         for c in reversed(self.coefficients):
             result = result * x + float(c)
         return result
-
-    def integral_over_unit_interval(self) -> Fraction:
-        return sum(c / (k + 1) for k, c in enumerate(self.coefficients))
-
-    @property
-    def sup_norm(self) -> float:
-        """max |B(x)| over [0, 1]."""
-        if self.degree == 1:
-            return 0.5
-        # stationary points of B_3 on (0, 1): (3 +- sqrt(3)) / 6
-        root = math.sqrt(3.0)
-        candidates = [0.0, 1.0, (3.0 - root) / 6.0, (3.0 + root) / 6.0]
-        return max(abs(self(x)) for x in candidates)
 
 
 B1 = BernoulliPoly(1, (Fraction(-1, 2), Fraction(1)))
@@ -103,26 +76,31 @@ APPROXIMANTS = MappingProxyType(
 )
 
 
-def harmonic_expansion(n: int) -> float:
-    """Three-term expansion of H_n: gamma + log(n + 1/2) + 1/(24 n^2)."""
-    if n < 1:
+def _positive_index(n) -> np.ndarray:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("n must be >= 1")
-    return EULER_GAMMA + math.log(n + 0.5) + 1.0 / (24.0 * n * n)
+    return n
 
 
-def detemple_bounds(n: int) -> tuple[float, float]:
-    """Strict two-sided bounds on H_n - gamma - log(n + 1/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 1.0 / (24.0 * (n + 1) ** 2), 1.0 / (24.0 * n**2)
+def harmonic_expansion(n):
+    """Three-term expansion of H_n: gamma + log(n + 1/2) + 1/(24 n^2), for an index or index array n."""
+    t = _positive_index(n).astype(float)
+    return EULER_GAMMA + np.log(t + 0.5) + 1.0 / (24.0 * t * t)
 
 
-def alt_harmonic_expansion(n: int) -> float:
-    """Expansion of the alternating partial sum: log 2 -(-1)^n/(2n) + (-1)^n/(4n^2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sign = -1.0 if n % 2 else 1.0
-    return math.log(2.0) - sign / (2.0 * n) + sign / (4.0 * n * n)
+def detemple_bounds(n):
+    """Strict two-sided bounds (lower, upper) on H_n - gamma - log(n + 1/2), for an index or index array n."""
+    t = _positive_index(n).astype(float)
+    return 1.0 / (24.0 * (t + 1.0) ** 2), 1.0 / (24.0 * t**2)
+
+
+def alt_harmonic_expansion(n):
+    """Expansion of the alternating partial sum: log 2 -(-1)^n/(2n) + (-1)^n/(4n^2), for an index or index array n."""
+    n = _positive_index(n)
+    sign = np.where(n % 2 == 1, -1.0, 1.0)
+    t = n.astype(float)
+    return math.log(2.0) - sign / (2.0 * t) + sign / (4.0 * t * t)
 
 
 class EmOrder(Enum):
@@ -251,23 +229,19 @@ def limit_distance(family: Family, parity: Parity) -> float:
     return float(scale * (b - Fraction(1, 2)) / 8)
 
 
-def unwrap_angle(z: complex, theta_hint: float) -> float:
-    """Representative of arg z closest to theta_hint."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    principal = cmath.phase(complex(z))
-    k = round((theta_hint - principal) / (2.0 * math.pi))
-    return principal + 2.0 * math.pi * k
+def spiral_gap(z, theta_hint):
+    """Radial gap |z| - exp(4*theta/pi), with theta the argument of z unwrapped to the branch nearest theta_hint.
 
-
-def spiral_gap(z: complex, theta_hint: float) -> float:
-    """Radial gap |z| - exp(4*theta/pi) with theta unwrapped near theta_hint.
-
-    Callers tracking the asymptotic family pass theta_hint = (pi/2) log t,
-    the continuous branch the family's argument follows.
+    Takes scalars or arrays that broadcast together.  Callers tracking the
+    asymptotic family pass theta_hint = (pi/2) log t, the continuous branch
+    the family's argument follows.
     """
-    theta = unwrap_angle(z, theta_hint)
-    return abs(z) - math.exp(GROWTH_RATE * theta)
+    z = np.asarray(z)
+    if np.any(z == 0):
+        raise ValueError("z must be nonzero")
+    principal = np.angle(z)
+    theta = principal + 2.0 * math.pi * np.round((theta_hint - principal) / (2.0 * math.pi))
+    return np.abs(z) - np.exp(GROWTH_RATE * theta)
 
 
 def gap_limit(b: float) -> float:

@@ -131,11 +131,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if "window" in data:
                 w = data["window"]
                 lo, hi = w.split(":") if isinstance(w, str) else w
+                if not isinstance(w, str) and (type(lo) is not int or type(hi) is not int):  # also rejects true/false
+                    raise ValueError(f"window bounds must be JSON integers, not {w!r}")
                 cfg.window = int(lo), int(hi)
             if "format" in data:
                 cfg.fmt = str(data["format"])
             if "out" in data:
-                cfg.out = str(data["out"])
+                if not isinstance(data["out"], str):
+                    raise ValueError(f"out must be a JSON string, not {data['out']!r}")
+                cfg.out = data["out"]
             if "extrapolate" in data:
                 if not isinstance(data["extrapolate"], bool):
                     raise ValueError(f"extrapolate must be a JSON boolean, not {data['extrapolate']!r}")

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-SEED_CENTER = complex(-math.sqrt(3.0) / 6.0, 0.0)
 SEED_VERTICES = (  # counterclockwise
     complex(0.0, 0.5),
     complex(-math.sqrt(3.0) / 2.0, 0.0),

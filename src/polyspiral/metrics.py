@@ -37,7 +37,7 @@ NORMALIZATION_MODULUS = abs(APPROXIMANT_SCALE)
 NORMALIZATION = NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)
 
 #: The spiral every distance is measured against.
-TARGET_SPIRAL = LogSpiral(GROWTH_RATE, 0.0)
+TARGET_SPIRAL = LogSpiral(GROWTH_RATE)
 
 #: fl(4/pi) - 4/pi, the error of TARGET_SPIRAL's growth rate (60-digit mpmath, rounded once).
 GROWTH_RATE_ERROR = 7.871470670072994e-17
@@ -113,17 +113,17 @@ class RigidMotion:
 
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """Columnar distance measurements: index, distance, nearest angle, point in spiral coordinates.
+    """Columnar distance measurements: index, signed distance, nearest angle.
 
-    Each column is a numpy array with one entry per index; ``n`` is strictly
-    increasing and parity is ``n % 2``.  ``extrapolated`` holds the Richardson
-    value per index, NaN where there is none (all NaN by default).
+    The distance is positive on the spiral's inner side.  Each column is a
+    numpy array with one entry per index; ``n`` is strictly increasing and
+    parity is ``n % 2``.  ``extrapolated`` holds the Richardson value per
+    index, NaN where there is none (all NaN by default).
     """
 
     n: np.ndarray
     distance: np.ndarray
     theta: np.ndarray
-    point: np.ndarray
     extrapolated: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,7 +134,7 @@ class DistanceTable:
 
     def select(self, mask: np.ndarray) -> "DistanceTable":
         """The rows where the boolean mask is true."""
-        return DistanceTable(self.n[mask], self.distance[mask], self.theta[mask], self.point[mask], self.extrapolated[mask])
+        return DistanceTable(self.n[mask], self.distance[mask], self.theta[mask], self.extrapolated[mask])
 
 
 @dataclass
@@ -219,7 +219,7 @@ _POLISH_STEPS = (1e-4, 1e-2, 1e-2)
 def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray, spiral: LogSpiral, turns: int) -> float:
     phi, cx, cy = params
     w = RigidMotion(phi, complex(cx, cy)).frame().to_spiral(centers)
-    d, _ = nearest_distances(spiral, w, turns=turns)
+    d = np.abs(nearest_distances(spiral, w, turns=turns)[0])
     total = 0.0
     for val in (0, 1):
         sel = d[parities == val]
@@ -237,10 +237,10 @@ def fit_motion_to_spiral(
 ) -> tuple[RigidMotion, FitDiagnostics]:
     """Polish a motion until nearest distances are parity-constant.
 
-    Minimizes the summed within-parity variance of the centres' nearest
-    distances in the motion's spiral coordinates with a Nelder-Mead simplex
-    started at init (in practice the approximant fit), steps 1e-4 in
-    rotation and 1e-2 in translation.  Used as an independent cross-check
+    Minimizes the summed within-parity variance of the centres' unsigned
+    nearest distances in the motion's spiral coordinates with a Nelder-Mead
+    simplex started at init (in practice the approximant fit), steps 1e-4
+    in rotation and 1e-2 in translation.  Used as an independent cross-check
     of that fit.  The diagnostics' distances come from distance_table, so
     they are measured against TARGET_SPIRAL.
     """
@@ -267,7 +267,7 @@ def fit_motion_to_spiral(
     motion = RigidMotion(float(phi), complex(cx, cy))
     table = distance_table(seq, motion.frame(), window[1], n_min=window[0])
     diag = FitDiagnostics(
-        residual_max=float(table.distance.max()),
+        residual_max=float(np.abs(table.distance).max()),
         residual_slope=0.0,
         per_parity_mean=parity_means(table),
         objective=float(result.fun),
@@ -277,12 +277,12 @@ def fit_motion_to_spiral(
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:
-    """Per-index nearest distances to TARGET_SPIRAL of the centres in the frame's coordinates.
+    """Per-index signed nearest distances to TARGET_SPIRAL of the centres in the frame's coordinates.
 
     TARGET_SPIRAL grows at fl(4/pi) = 4/pi + GROWTH_RATE_ERROR, which puts
-    it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); every
-    mapped centre lies on the inner side, so that radial offset, projected
-    on the normal, is subtracted from each distance.  The nearest points
+    it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); that
+    radial offset, projected on the normal, is subtracted from each signed
+    distance (positive inside), on either side.  The nearest points
     are solved BLOCK at a time through map_blocks, on every CPU.
     """
     if n_min is None:
@@ -298,7 +298,7 @@ def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: i
     for i, (d_block, theta_block) in enumerate(map_blocks(solve, w.size)):
         d[i * BLOCK : (i + 1) * BLOCK], theta[i * BLOCK : (i + 1) * BLOCK] = d_block, theta_block
     d -= GROWTH_RATE_ERROR * theta * TARGET_SPIRAL.radius(theta) / math.sqrt(1.0 + GROWTH_RATE**2)
-    return DistanceTable(np.arange(n_min, n_max + 1), d, theta, w)
+    return DistanceTable(np.arange(n_min, n_max + 1), d, theta)
 
 
 def parity_means(table: DistanceTable, extrapolated: bool = False) -> dict[Parity, float]:
@@ -337,14 +337,8 @@ def richardson_extrapolate(table: DistanceTable, stride: int = 2) -> DistanceTab
     return replace(table, extrapolated=extrapolated)
 
 
-def inner_side_fraction(table: DistanceTable, spiral: LogSpiral = TARGET_SPIRAL) -> float:
-    """Fraction of mapped points on the spiral's inner side.
-
-    A point is inner when it lies left of the tangent direction at its
-    nearest spiral point (the side of decreasing radius).
-    """
+def inner_side_fraction(table: DistanceTable) -> float:
+    """Fraction of mapped points on the spiral's inner side: those with a positive signed distance."""
     if not table.n.size:
         raise ValueError("no records")
-    offset = table.point - spiral.point(table.theta)
-    inner = np.count_nonzero((np.conj(spiral.tangent(table.theta)) * offset).imag > 0.0)
-    return inner / table.n.size
+    return np.count_nonzero(table.distance > 0.0) / table.n.size

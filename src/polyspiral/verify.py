@@ -50,8 +50,7 @@ def suite_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[
     n = np.arange(1, n_max + 1)
     partial = compensated_cumsum(1.0 / n)
     residual = partial - asym.EULER_GAMMA - np.log(n + 0.5)
-    lower = 1.0 / (24.0 * (n + 1.0) ** 2)
-    upper = 1.0 / (24.0 * n.astype(float) ** 2)
+    lower, upper = asym.detemple_bounds(n)
     margin = float(min((residual - lower).min(), (upper - residual).min()))
     return [
         CheckResult(
@@ -67,10 +66,8 @@ def suite_alt_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> l
     """n^3-scaled residual of the alternating-sum expansion stays bounded."""
     tol = _tol(tolerances, "alt-harmonic-bound")
     n = np.arange(1, n_max + 1)
-    sign = np.where(n % 2 == 1, 1.0, -1.0)
-    partial = compensated_cumsum(sign / n)
-    expansion = math.log(2.0) + sign / (2.0 * n) - sign / (4.0 * n.astype(float) ** 2)
-    scaled = np.abs(partial - expansion) * n.astype(float) ** 3
+    partial = compensated_cumsum(np.where(n % 2 == 1, 1.0, -1.0) / n)
+    scaled = np.abs(partial - asym.alt_harmonic_expansion(n)) * n.astype(float) ** 3
     worst = float(scaled[n >= 10].max())
     detail = f"max n^3 residual {worst:.3e} over n in [10, {n_max}], bound {tol}"
     return [_check("alt-harmonic-cubed-residual", worst, tol, detail)]
@@ -170,28 +167,20 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
     tol_a = _tol(tolerances, "gap-a-independence")
     results = []
 
-    worst = 0.0
-    for a, b in GAP_CASES:
-        z = asym.asymptotic_form(1e4, a, b)
-        gap = asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4))
-        worst = max(worst, abs(gap - asym.gap_limit(b)))
+    a, b = (np.array(column) for column in zip(*GAP_CASES))
+    z = asym.asymptotic_form(1e4, a, b)
+    worst = float(np.abs(asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4)) - asym.gap_limit(b)).max())
     results.append(_check("gap-limit-at-1e4", worst, tol_gap, f"max |gap - limit| {worst:.3e}"))
 
     ts = np.geomspace(1e2, 1e5, 61)
-    worst = 0.0
-    for a, b in GAP_CASES:
-        res = np.array(
-            [t * (asym.spiral_gap(asym.asymptotic_form(t, a, b), 0.5 * math.pi * math.log(t)) - asym.gap_limit(b)) for t in ts]
-        )
-        worst = max(worst, float(np.abs(res).max()))
+    z = asym.asymptotic_form(ts, a[:, None], b[:, None])
+    res = ts * (asym.spiral_gap(z, 0.5 * math.pi * np.log(ts)) - asym.gap_limit(b[:, None]))
+    worst = float(np.abs(res).max())
     results.append(_check("gap-rate-bounded", worst, tol_rate, f"max t*residual {worst:.3e}"))
 
-    spread = 0.0
-    for _, b in GAP_CASES:
-        gaps = [
-            asym.spiral_gap(asym.asymptotic_form(1e4, a, b), 0.5 * math.pi * math.log(1e4)) for a in (0.0, 0.25, 1.0)
-        ]
-        spread = max(spread, max(gaps) - min(gaps))
+    z = asym.asymptotic_form(1e4, np.array([0.0, 0.25, 1.0]), b[:, None])
+    gaps = asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4))
+    spread = float((gaps.max(axis=1) - gaps.min(axis=1)).max())
     results.append(_check("gap-a-independence", spread, tol_a, f"max spread over a {spread:.3e}"))
 
     worst = 0.0
@@ -231,8 +220,8 @@ def suite_offset_distance(tolerances: dict | None = None) -> list[CheckResult]:
     rs = np.geomspace(1e2, 1e4, 25)
     for beta, c, bound in OFFSET_CASES:
         bound = bound * scale
-        rows = offset_distance_profile(beta, c, rs)
-        worst = float(max(abs(d - pred) * r for r, d, pred in rows))
+        d, predicted = offset_distance_profile(beta, c, rs)
+        worst = float((np.abs(d - predicted) * rs).max())
         detail = f"max r*|d - pred| {worst:.3e}, bound {bound:g}"
         results.append(_check(f"offset-rate-beta{beta:.3f}-c{c:g}", worst, bound, detail))
     return results

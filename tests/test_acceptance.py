@@ -124,8 +124,8 @@ def test_criterion_09_gap_limits():
 
 def test_criterion_10_offset_curve_distance():
     rs = np.geomspace(1e2, 1e4, 25)
-    rows = offset_distance_profile(4.0 / math.pi, 1.0, rs)
-    worst = max(abs(d - pred) * r / 5.0 for r, d, pred in rows)
+    d, pred = offset_distance_profile(4.0 / math.pi, 1.0, rs)
+    worst = float((np.abs(d - pred) * rs).max()) / 5.0
     _report(
         "10-offset-curve-distance",
         worst <= 1.0,

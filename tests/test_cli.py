@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from polyspiral import asymptotics as asym
 from polyspiral.cli import build_parser, main
 
 
@@ -69,6 +70,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "alt-harmonic", "--tolerance", "alt-harmonic-bound=1e-9")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "suite, name, error",
+        [
+            ("harmonic", "detemple_bounds", lambda bounds: (bounds[0], bounds[1] * (1.0 - 1e-3))),
+            ("alt-harmonic", "alt_harmonic_expansion", lambda value: value + 1e-9),
+            ("gap-limit", "spiral_gap", lambda gap: gap + 0.02),
+        ],
+    )
+    def test_suites_check_the_library(self, monkeypatch, capsys, suite, name, error):
+        # a small error in the asymptotics function must surface in the suite that checks it
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0 and "FAIL" not in out
+        original = getattr(asym, name)
+        monkeypatch.setattr(asym, name, lambda *args: error(original(*args)))
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 1
+        assert f"FAIL {suite}/" in out
 
     @pytest.mark.parametrize(
         "pair", ["no-such-name=1", "gap-tolerance", "gap-tolerance=abc", "gap-tolerance=nan", "gap-tolerance=inf"]
@@ -205,34 +224,39 @@ class TestConfigPrecedence:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, message",
         [
-            ("centers", "{not json"),
-            ("centers", "[1, 2]"),
-            ("centers", '{"family": "bogus"}'),
-            ("centers", '{"n_max": "abc"}'),
-            ("centers", '{"n_max": 5.9}'),
-            ("centers", '{"n_max": true}'),
-            ("distances", '{"n_max": 40, "extrapolate": "false"}'),
-            ("centers", '{"window": [1]}'),
-            ("centers", '{"format": "xml"}'),
-            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}'),
-            ("fit", '{"n_max": 10}'),  # default window too short for the fit
-            ("fit", '{"family": "odd", "n_max": 20}'),
-            ("fit", '{"n_max": 3}'),
+            ("centers", "{not json", "bad config file"),
+            ("centers", "[1, 2]", "bad config file"),
+            ("centers", '{"family": "bogus"}', "bad config file"),
+            ("centers", '{"n_max": "abc"}', "bad config file"),
+            ("centers", '{"n_max": 5.9}', "bad config file"),
+            ("centers", '{"n_max": true}', "bad config file"),
+            ("distances", '{"n_max": 40, "extrapolate": "false"}', "bad config file"),
+            ("centers", '{"window": [1]}', "bad config file"),
+            ("centers", '{"window": [100.9, 200.2]}', "bad config file"),
+            ("centers", '{"window": [true, 9]}', "bad config file"),
+            ("centers", '{"out": null}', "bad config file"),
+            ("centers", '{"format": "xml"}', "format must be"),
+            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}', "tolerance"),
+            ("fit", '{"n_max": 10}', "fit window"),  # default window too short for the fit
+            ("fit", '{"family": "odd", "n_max": 20}', "fit window"),
+            ("fit", '{"n_max": 3}', "fit window"),
         ],
         ids=[
             "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
-            "window", "format", "tolerance",
+            "window", "window-float", "window-bool", "out-null", "format", "tolerance",
             "fit-window-all", "fit-window-odd", "fit-n-max-3",
         ],
     )
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys, command, text):
+    def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, command, text, message):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith(f"error: {message}")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_config_window_leaves_distances_unchanged(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -14,6 +14,7 @@ run from the repository root with ``PYTHONPATH=src``:
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route approximant --out tests/golden/fit_all_approximant.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route spiral --out tests/golden/fit_all_spiral.json
     python -m polyspiral.cli fit --family odd --n-max 400 --window 100:200 --route approximant --out tests/golden/fit_odd_approximant.json
+    python -m polyspiral.cli verify all --out tests/golden/verify_all.txt
 
 A refactor that changes any byte of these outputs fails here; regenerate
 the files only for an intended change of output.
@@ -40,6 +41,7 @@ CASES = {
     "fit_all_approximant.json": "fit --family all --n-max 200 --window 100:200 --route approximant",
     "fit_all_spiral.json": "fit --family all --n-max 200 --window 100:200 --route spiral",
     "fit_odd_approximant.json": "fit --family odd --n-max 400 --window 100:200 --route approximant",
+    "verify_all.txt": "verify all",
 }
 
 

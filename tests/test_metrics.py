@@ -133,11 +133,9 @@ class TestSpiralFit:
             mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 1000), init=motion, objective_threshold=1e-30)
 
 
-def _table(ns, distances, thetas=None, points=None):
+def _table(ns, distances):
     ns = np.asarray(ns, dtype=np.int64)
-    thetas = np.zeros(len(ns)) if thetas is None else thetas
-    points = np.zeros(len(ns), dtype=complex) if points is None else points
-    return mt.DistanceTable(ns, np.asarray(distances, dtype=float), thetas, points)
+    return mt.DistanceTable(ns, np.asarray(distances, dtype=float), np.zeros(len(ns)))
 
 
 def _between(table, lo, hi):
@@ -223,16 +221,21 @@ class TestRichardson:
 
 class TestInnerSide:
     def test_constructed_offset_points(self):
+        # points 0.1 inside and outside the spiral, measured by distance_table in the identity frame
         thetas = np.linspace(2.0, 8.0, 50)
         base = mt.TARGET_SPIRAL.point(thetas)
-        tangents = mt.TARGET_SPIRAL.tangent(thetas)
-        normals = 1j * tangents / np.abs(tangents)  # left of the tangent
-        table = _table(np.arange(50), np.full(50, 0.1), thetas, base + 0.1 * normals)
-        assert mt.inner_side_fraction(table) == 1.0
-        flipped = _table(table.n, table.distance, thetas, 2 * base - table.point)
-        assert mt.inner_side_fraction(flipped) == 0.0
-        mixed = _table(table.n, table.distance, thetas, np.where(table.n % 5 == 0, flipped.point, table.point))
-        assert mt.inner_side_fraction(mixed) == 0.8
+        inward = 1j * (mt.GROWTH_RATE + 1j) * base / np.abs((mt.GROWTH_RATE + 1j) * base)  # left of the tangent
+        n = np.arange(50)
+
+        def fraction(points):
+            seq = CenterSequence(Family.ALL_POLYGONS, 0, points)
+            table = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), 49)
+            np.testing.assert_allclose(np.abs(table.distance), 0.1, rtol=1e-6)
+            return mt.inner_side_fraction(table)
+
+        assert fraction(base + 0.1 * inward) == 1.0
+        assert fraction(base - 0.1 * inward) == 0.0
+        assert fraction(base + np.where(n % 5 == 0, -0.1, 0.1) * inward) == 0.8
 
     def test_inner_side_from_pipeline(self, p_table):
         assert mt.inner_side_fraction(_between(p_table, 100, 1000)) == 1.0

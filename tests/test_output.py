@@ -176,7 +176,7 @@ def test_distance_table_is_identical_at_every_cpu_count(monkeypatch):
         monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
         tables.append(distance_table(seq, FRAMES[Family.ALL_POLYGONS], n_max))
     for table in tables[1:]:
-        for column in ("n", "distance", "theta", "point"):
+        for column in ("n", "distance", "theta"):
             assert np.array_equal(getattr(table, column), getattr(tables[0], column)), column
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from polyspiral import spiral as sp
 from polyspiral.blocks import BLOCK
+from polyspiral.geometry import Family
+from polyspiral.metrics import FRAMES
 
 BETA = 4.0 / math.pi
-BASE = sp.LogSpiral(BETA, 0.0)
+BASE = sp.LogSpiral(BETA)
 
 
 def sampled_min(spiral, z, lo, hi, samples=20001, zooms=5):
@@ -25,7 +27,6 @@ def sampled_min(spiral, z, lo, hi, samples=20001, zooms=5):
     best = np.full(z.shape[0], np.inf)
     rows = np.arange(z.shape[0])
     for _ in range(zooms + 1):
-        theta = np.maximum(theta, spiral.min_theta)
         d = np.abs(z - spiral.point(theta))
         pick = np.argmin(d, axis=1)
         best = np.minimum(best, d[rows, pick])
@@ -34,37 +35,41 @@ def sampled_min(spiral, z, lo, hi, samples=20001, zooms=5):
     return best
 
 
+def solve(z, turns=2):
+    """Signed distance and angle of the single point z."""
+    d, theta = sp.nearest_distances(BASE, [z], turns=turns)
+    return float(d[0]), float(theta[0])
+
+
 class TestLogSpiral:
     def test_point_at_zero(self):
-        assert sp.spiral_point(BASE, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert complex(BASE.point(0.0)) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_point_quarter_turn(self):
-        assert sp.spiral_point(BASE, math.pi / 2.0) == pytest.approx(1j * math.exp(2.0), abs=1e-12)
-
-    def test_offset_point_reaches_origin(self):
-        assert sp.spiral_point(sp.LogSpiral(BETA, 1.0), 0.0) == pytest.approx(0.0j, abs=1e-15)
-
-    def test_offset_domain_guard(self):
-        with pytest.raises(ValueError):
-            sp.spiral_point(sp.LogSpiral(BETA, 1.0), -0.5)
+        assert complex(BASE.point(math.pi / 2.0)) == pytest.approx(1j * math.exp(2.0), abs=1e-12)
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
-            sp.LogSpiral(0.0, 0.0)
+            sp.LogSpiral(0.0)
         with pytest.raises(ValueError):
-            sp.LogSpiral(1.0, -1.0)
+            sp.LogSpiral(-1.0)
 
     def test_tangent_direction(self):
-        # tangent slope relative to the radial direction is arctan(1/beta)
-        t = complex(BASE.tangent(0.0))
-        assert t == pytest.approx(complex(BETA, 1.0), abs=1e-12)
+        # the tangent (beta + i)*p(theta) makes the angle arctan(1/beta) with the
+        # radius; a step left of it is inner (positive), right of it outer
+        theta = np.linspace(0.5, 6.0, 12)
+        p = BASE.point(theta)
+        left = 1j * (BETA + 1j) * p / abs(BETA + 1j)
+        d_left, _ = sp.nearest_distances(BASE, p + 1e-3 * left)
+        d_right, _ = sp.nearest_distances(BASE, p - 1e-3 * left)
+        np.testing.assert_allclose(d_left, 1e-3 * np.abs(p), rtol=1e-6)
+        np.testing.assert_allclose(d_right, -1e-3 * np.abs(p), rtol=1e-6)
 
 
 class TestNearestDistance:
     def test_on_curve_point(self):
-        z = sp.spiral_point(BASE, 1.0)
-        d, theta = sp.nearest_distance(BASE, z)
-        assert d < 1e-10
+        d, theta = solve(complex(BASE.point(1.0)))
+        assert abs(d) < 1e-10
         assert theta == pytest.approx(1.0, abs=1e-6)
 
     def test_against_dense_sampling_oracle(self):
@@ -72,26 +77,26 @@ class TestNearestDistance:
         seed = math.log(2.0) / BETA
         thetas = np.linspace(seed - 3.0 * math.pi, seed + 3.0 * math.pi, 10**6)
         oracle = float(np.abs(z - BASE.point(thetas)).min())
-        d, _ = sp.nearest_distance(BASE, z)
-        assert d == pytest.approx(oracle, abs=1e-6)
+        d, _ = solve(z)
+        assert abs(d) == pytest.approx(oracle, abs=1e-6)
 
     def test_offset_curve_point_at_large_radius(self):
         # distance from the offset-1 curve at r ~ 10^3 to the base curve
         r = 1e3
         theta = math.log(r + 1.0) / BETA
         z = r * complex(math.cos(theta), math.sin(theta))
-        d, _ = sp.nearest_distance(BASE, z)
+        d, _ = solve(z)
         assert d == pytest.approx(1.0 / math.sqrt(1.0 + BETA**2), abs=1e-2)
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            sp.nearest_distance(BASE, 0j)
+            sp.nearest_distances(BASE, 0j)
         with pytest.raises(ValueError):
             sp.nearest_distances(BASE, [1.0 + 0j, 0j])
 
     def test_rejects_bad_turns(self):
         with pytest.raises(ValueError):
-            sp.nearest_distance(BASE, 1.0 + 1j, turns=0)
+            sp.nearest_distances(BASE, 1.0 + 1j, turns=0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -101,44 +106,30 @@ class TestNearestDistance:
     )
     def test_never_exceeds_sampled_distances(self, radius, angle, theta_offset):
         z = radius * complex(math.cos(angle), math.sin(angle))
-        d, _ = sp.nearest_distance(BASE, z)
+        d, _ = solve(z)
         seed = math.log(radius) / BETA
         sample_theta = seed + theta_offset
-        assert d <= abs(z - complex(BASE.point(sample_theta))) + 1e-9
+        assert abs(d) <= abs(z - complex(BASE.point(sample_theta))) + 1e-9
 
     def test_vectorized_matches_scalar(self):
         zs = np.array([2.0 + 1j, -3.0 + 0.5j, 0.1 - 0.2j])
         ds, thetas = sp.nearest_distances(BASE, zs)
         for i, z in enumerate(zs):
-            d, theta = sp.nearest_distance(BASE, complex(z))
+            d, theta = solve(complex(z))
             assert ds[i] == pytest.approx(d, abs=1e-12)
             assert thetas[i] == pytest.approx(theta, abs=1e-9)
 
 
 class TestNewtonSolver:
-    def test_far_field_matches_sampled_minimum(self, p_table):
+    def test_far_field_matches_sampled_minimum(self, p_seq):
         rng = np.random.default_rng(7)
         radius = np.geomspace(1e2, 1e10, 60)
         synthetic = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
-        z = np.concatenate([p_table.point[::10], synthetic])
+        z = np.concatenate([FRAMES[Family.ALL_POLYGONS].to_spiral(p_seq.centers[::10]), synthetic])
         d, _ = sp.nearest_distances(BASE, z)
         seed = np.log(np.abs(z)) / BETA
         oracle = sampled_min(BASE, z, seed - 3.0 * math.pi, seed + 3.0 * math.pi)
-        assert np.all(d <= oracle + np.abs(z) * 1e-14)
-
-    def test_offset_spiral_with_seeds_below_min_theta(self):
-        spiral = sp.LogSpiral(BETA, 1.0)  # min_theta = 0
-        rng = np.random.default_rng(8)
-        radius = rng.uniform(0.01, 0.5, 40)
-        arg = rng.uniform(-math.pi + 0.1, -0.1, 40)
-        z = radius * np.exp(1j * arg)
-        # the seed sits on the ray through z at the radius-matching turn: here at arg < 0
-        seed = arg + 2.0 * math.pi * np.round((np.log(radius + 1.0) / BETA - arg) / (2.0 * math.pi))
-        assert np.all(seed < spiral.min_theta)
-        d, theta = sp.nearest_distances(spiral, z)
-        assert np.all(theta >= spiral.min_theta)
-        oracle = sampled_min(spiral, z, spiral.min_theta, spiral.min_theta + 4.0 * math.pi)
-        assert np.max(np.abs(d - oracle)) <= 1e-12
+        assert np.all(np.abs(d) <= oracle + np.abs(z) * 1e-14)
 
     @pytest.mark.parametrize(
         "beta, offset",
@@ -146,14 +137,19 @@ class TestNewtonSolver:
         ids=["base", "offset-0.3", "offset-1", "steep", "steep-offset-1"],
     )
     def test_matches_sampled_minimum_across_scales(self, beta, offset):
-        spiral = sp.LogSpiral(beta, offset)
+        spiral = sp.LogSpiral(beta)
         rng = np.random.default_rng(11)
         radius = max(offset, 1.0) * np.exp(rng.uniform(-6.0, 6.0, 200))
-        z = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
+        arg = rng.uniform(-math.pi, math.pi, radius.size)
+        if offset > 0.0:  # every other point on the inner offset curve r = exp(beta*theta) - offset
+            arg[::2] = np.log(radius[::2] + offset) / beta
+        z = radius * np.exp(1j * arg)
         d, _ = sp.nearest_distances(spiral, z)
-        seed = np.log(radius + offset) / beta
+        seed = np.log(radius) / beta
         oracle = sampled_min(spiral, z, seed - 4.0 * math.pi, seed + 4.0 * math.pi)
-        assert np.all(d <= oracle + 1e-13 * np.maximum(radius, 1.0))
+        assert np.all(np.abs(d) <= oracle + 1e-13 * np.maximum(radius, 1.0))
+        if offset > 0.0:  # far from the origin that curve runs inside the spiral
+            assert np.all(d[::2][radius[::2] > 10.0 * offset] > 0.0)
 
     def test_block_boundary(self):
         rng = np.random.default_rng(9)
@@ -162,7 +158,7 @@ class TestNewtonSolver:
         ds, thetas = sp.nearest_distances(BASE, z)
         edge = [0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2]
         for i in edge + list(range(2, BLOCK - 2, 97)):
-            d, theta = sp.nearest_distance(BASE, complex(z[i]))
+            d, theta = solve(complex(z[i]))
             assert abs(ds[i] - d) <= 1e-12
             assert abs(thetas[i] - theta) <= 1e-12
 
@@ -180,19 +176,20 @@ class TestNewtonSolver:
 
 class TestOffsetProfile:
     def test_zero_offset_gives_zero_distances(self):
-        rows = sp.offset_distance_profile(BETA, 0.0, [10.0, 100.0])
-        assert all(d == 0.0 and pred == 0.0 for _, d, pred in rows)
+        rs = np.array([10.0, 100.0])
+        d, pred = sp.offset_distance_profile(BETA, 0.0, rs)
+        assert pred == 0.0
+        assert np.all(np.abs(d) <= 1e-14 * rs)
 
     def test_unit_offset_far_field(self):
-        rows = sp.offset_distance_profile(BETA, 1.0, [1e4])
-        _, d, pred = rows[0]
+        (d,), pred = sp.offset_distance_profile(BETA, 1.0, [1e4])
         assert pred == pytest.approx(0.61766782483885603, abs=1e-14)
         assert abs(d - pred) <= 5e-4
 
     def test_residual_rate(self):
         rs = np.geomspace(1e2, 1e4, 13)
-        rows = sp.offset_distance_profile(BETA, 1.0, rs)
-        assert max(abs(d - pred) * r for r, d, pred in rows) <= 5.0
+        d, pred = sp.offset_distance_profile(BETA, 1.0, rs)
+        assert float((np.abs(d - pred) * rs).max()) <= 5.0
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
