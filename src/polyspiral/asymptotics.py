@@ -83,12 +83,6 @@ def _positive_index(n) -> np.ndarray:
     return n
 
 
-def harmonic_expansion(n):
-    """Three-term expansion of H_n: gamma + log(n + 1/2) + 1/(24 n^2), for an index or index array n."""
-    t = _positive_index(n).astype(float)
-    return EULER_GAMMA + np.log(t + 0.5) + 1.0 / (24.0 * t * t)
-
-
 def detemple_bounds(n):
     """Strict two-sided bounds (lower, upper) on H_n - gamma - log(n + 1/2), for an index or index array n."""
     t = _positive_index(n).astype(float)

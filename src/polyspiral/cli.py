@@ -13,7 +13,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class RunConfig:
     out: str | None = None
     extrapolate: bool = False
     overlay: bool = False
-    tolerances: dict[str, float] = field(default_factory=dict)
 
     @property
     def first_index(self) -> int:
@@ -90,23 +89,8 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise UsageError(f"bad window {text!r}; expected A:B") from exc
 
 
-def _tolerance(name: str, value) -> tuple[str, float]:
-    if name not in verify.DEFAULT_TOLERANCES:
-        raise UsageError(f"unknown tolerance {name!r}; choose from {sorted(verify.DEFAULT_TOLERANCES)}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value {value!r} for tolerance {name!r}") from exc
-    if not math.isfinite(number):
-        raise UsageError(f"tolerance {name!r} must be finite, not {value!r}")
-    return name, number
-
-
-def _parse_tolerance(pairs: list[str]) -> dict[str, float]:
-    for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"bad tolerance {pair!r}; expected NAME=VALUE")
-    return dict(_tolerance(*pair.split("=", 1)) for pair in pairs)
+#: The keys a config file may hold; each command reads only those it needs.
+_CONFIG_KEYS = ("family", "n_max", "window", "format", "out", "extrapolate")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -122,6 +106,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise UsageError(f"bad config file {args.config}: expected a JSON object")
         try:
+            unknown = sorted(data.keys() - _CONFIG_KEYS)
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}; choose from {list(_CONFIG_KEYS)}")
             if "family" in data:
                 cfg.family = Family(data["family"])
             if "n_max" in data:
@@ -144,8 +131,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 if not isinstance(data["extrapolate"], bool):
                     raise ValueError(f"extrapolate must be a JSON boolean, not {data['extrapolate']!r}")
                 cfg.extrapolate = data["extrapolate"]
-            if "tolerances" in data:
-                cfg.tolerances.update(_tolerance(k, v) for k, v in data["tolerances"].items())
         except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"bad config file {args.config}: {exc}") from exc
 
@@ -163,8 +148,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg.extrapolate = True
     if getattr(args, "overlay", False):
         cfg.overlay = True
-    if getattr(args, "tolerance", None):
-        cfg.tolerances.update(_parse_tolerance(args.tolerance))
     cfg.validate()
     return cfg
 
@@ -251,7 +234,7 @@ def cmd_verify(cfg: RunConfig, suites: list[str]) -> int:
     lines = []
     failed = False
     for name in names:
-        for result in verify.run_suite(name, tolerances=cfg.tolerances):
+        for result in verify.run_suite(name):  # looked up per call: perfbench/tracer.py wraps it
             failed |= not result.passed
             status = "PASS" if result.passed else "FAIL"
             lines.append(f"{status} {name}/{result.name} margin={_fmt(result.margin)} ({result.detail})")
@@ -265,7 +248,7 @@ def cmd_fit(cfg: RunConfig, route: str) -> int:
     try:
         motion, diag = fit_motion_to_approximant(seq, window)
         if route == "spiral":
-            motion, diag = fit_motion_to_spiral(seq, TARGET_SPIRAL, window, init=motion)
+            motion, diag = fit_motion_to_spiral(seq, window, init=motion)
     except ValueError as exc:  # the fits reject windows too short for them
         raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
     info = {
@@ -342,7 +325,6 @@ _OPTIONS = {
     "--format": dict(choices=FORMATS),
     "--extrapolate": dict(action="store_true"),
     "--overlay": dict(action="store_true"),
-    "--tolerance": dict(action="append", metavar="NAME=VALUE"),
     "--out": dict(metavar="PATH"),
     "--config": dict(metavar="PATH"),
 }
@@ -350,7 +332,7 @@ _OPTIONS = {
 #: Each subcommand's help and the options it reads besides --out and --config.
 _COMMANDS = {
     "centers": ("write the centre sequence", ("--family", "--n-max", "--format")),
-    "verify": ("run verification suites", ("--tolerance",)),
+    "verify": ("run verification suites", ()),
     "fit": ("fit the rigid motion", ("--family", "--n-max", "--window", "--route")),
     "distances": ("emit the convergence table", ("--family", "--n-max", "--format", "--extrapolate")),
     "render": ("write an SVG figure", ("--n-max", "--overlay")),

@@ -215,11 +215,14 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
 
 _POLISH_STEPS = (1e-4, 1e-2, 1e-2)
 
+#: Largest summed within-parity variance fit_motion_to_spiral accepts.
+MAX_POLISH_OBJECTIVE = 1e-4
 
-def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray, spiral: LogSpiral, turns: int) -> float:
+
+def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray) -> float:
     phi, cx, cy = params
     w = RigidMotion(phi, complex(cx, cy)).frame().to_spiral(centers)
-    d = np.abs(nearest_distances(spiral, w, turns=turns)[0])
+    d = np.abs(nearest_distances(TARGET_SPIRAL, w, turns=1)[0])
     total = 0.0
     for val in (0, 1):
         sel = d[parities == val]
@@ -229,20 +232,15 @@ def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray
 
 
 def fit_motion_to_spiral(
-    seq: CenterSequence,
-    spiral: LogSpiral,
-    window: tuple[int, int],
-    init: RigidMotion,
-    objective_threshold: float = 1e-4,
+    seq: CenterSequence, window: tuple[int, int], init: RigidMotion
 ) -> tuple[RigidMotion, FitDiagnostics]:
-    """Polish a motion until nearest distances are parity-constant.
+    """Polish a motion until nearest distances to TARGET_SPIRAL are parity-constant.
 
     Minimizes the summed within-parity variance of the centres' unsigned
     nearest distances in the motion's spiral coordinates with a Nelder-Mead
     simplex started at init (in practice the approximant fit), steps 1e-4
-    in rotation and 1e-2 in translation.  Used as an independent cross-check
-    of that fit.  The diagnostics' distances come from distance_table, so
-    they are measured against TARGET_SPIRAL.
+    in rotation and 1e-2 in translation, and raises FitError above
+    MAX_POLISH_OBJECTIVE.  Used as an independent cross-check of that fit.
     """
     from scipy.optimize import minimize  # ~0.55 s and ~50 MiB, so only the spiral route pays it
 
@@ -256,12 +254,12 @@ def fit_motion_to_spiral(
     result = minimize(
         _parity_variance_objective,
         x0,
-        args=(centers, parities, spiral, 1),
+        args=(centers, parities),
         method="Nelder-Mead",
         options={"initial_simplex": simplex, "fatol": 1e-12, "xatol": 1e-10, "maxfev": 10_000, "maxiter": 10_000},
     )
-    if result.fun > objective_threshold:
-        raise FitError(f"no consistent motion: best objective {result.fun:.3e} > {objective_threshold:.3e}")
+    if result.fun > MAX_POLISH_OBJECTIVE:
+        raise FitError(f"no consistent motion: best objective {result.fun:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
 
     phi, cx, cy = result.x
     motion = RigidMotion(float(phi), complex(cx, cy))
@@ -313,22 +311,20 @@ def parity_means(table: DistanceTable, extrapolated: bool = False) -> dict[Parit
     return means
 
 
-def richardson_extrapolate(table: DistanceTable, stride: int = 2) -> DistanceTable:
-    """Eliminate the 1/n^2 tail by pairing each index with one near stride*n.
+def richardson_extrapolate(table: DistanceTable) -> DistanceTable:
+    """Eliminate the 1/n^2 tail by pairing each index n with 2n, or 2n +- 1.
 
     With the exact motion the distances approach their limits as
-    L + kappa/n^2 per parity.  The partner must have the same parity; when
-    stride*n itself flips parity the nearest same-parity neighbour
-    (stride*n +- 1) is used, with the exact two-point elimination
+    L + kappa/n^2 per parity.  The partner m must have the same parity as
+    n, so an odd n pairs with 2n + 1 (or 2n - 1 where 2n + 1 is missing),
+    and the exact two-point elimination is
     (m^2*d(m) - n^2*d(n)) / (m^2 - n^2).  Indices without a partner get NaN.
     """
-    if stride < 2:
-        raise ValueError("stride must be >= 2")
     n, d = table.n, table.distance
     extrapolated = np.full(len(n), np.nan)
     unpaired = np.ones(len(n), dtype=bool)
     for offset in (0, 1, -1):
-        m = stride * n + offset
+        m = 2 * n + offset
         j = np.minimum(np.searchsorted(n, m), len(n) - 1)
         hit = unpaired & (n[j] == m) & ((m - n) % 2 == 0) & (m != n)
         m2, n2 = m[hit].astype(float) ** 2, n[hit].astype(float) ** 2

@@ -1,8 +1,8 @@
 """Invariant sweeps exposed through the CLI `verify` subcommand.
 
 Each suite runs one family of checks and reports the margin left under its
-bound; a nonpositive margin is a failure.  Tolerances can be overridden by
-name (see DEFAULT_TOLERANCES).
+bound; a nonpositive margin is a failure.  Every bound is a fixed literal
+next to the check that uses it.
 """
 
 from __future__ import annotations
@@ -17,21 +17,6 @@ from .geometry import Family, centers_all, centers_odd, compensated_cumsum
 from .metrics import FRAMES, NORMALIZATION, NORMALIZATION_MODULUS
 from .spiral import offset_distance_profile
 
-DEFAULT_TOLERANCES = {
-    "alt-harmonic-bound": 2.0,
-    "em-exactness": 1e-12,
-    "em-order-agreement": 1e-10,
-    "pair-difference-bound": 10.0,
-    "alternating-sum-bound": 2.0,
-    "closed-modulus": 1e-15,
-    "gap-tolerance": 1e-2,
-    "gap-rate-bound": 10.0,
-    "gap-a-independence": 1e-3,
-    "approximant-residual-bound": 50.0,
-    "offset-rate-bound": 5.0,
-}
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -45,9 +30,9 @@ def _check(name: str, worst: float, bound: float, detail: str) -> CheckResult:
     return CheckResult(name, worst <= bound, bound - worst, detail)
 
 
-def suite_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[CheckResult]:
-    """Strict two-sided bounds on the harmonic-sum expansion residual."""
-    n = np.arange(1, n_max + 1)
+def suite_harmonic() -> list[CheckResult]:
+    """Strict two-sided bounds on the harmonic-sum expansion residual, n <= 10^4."""
+    n = np.arange(1, 10_001)
     partial = compensated_cumsum(1.0 / n)
     residual = partial - asym.EULER_GAMMA - np.log(n + 0.5)
     lower, upper = asym.detemple_bounds(n)
@@ -57,20 +42,19 @@ def suite_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[
             "harmonic-two-sided-bounds",
             margin > 0.0,
             margin,
-            f"n <= {n_max}, min slack {margin:.3e}",
+            f"n <= 10000, min slack {margin:.3e}",
         )
     ]
 
 
-def suite_alt_harmonic(n_max: int = 10_000, tolerances: dict | None = None) -> list[CheckResult]:
-    """n^3-scaled residual of the alternating-sum expansion stays bounded."""
-    tol = _tol(tolerances, "alt-harmonic-bound")
-    n = np.arange(1, n_max + 1)
+def suite_alt_harmonic() -> list[CheckResult]:
+    """n^3-scaled residual of the alternating-sum expansion stays bounded for 10 <= n <= 10^4."""
+    n = np.arange(1, 10_001)
     partial = compensated_cumsum(np.where(n % 2 == 1, 1.0, -1.0) / n)
     scaled = np.abs(partial - asym.alt_harmonic_expansion(n)) * n.astype(float) ** 3
     worst = float(scaled[n >= 10].max())
-    detail = f"max n^3 residual {worst:.3e} over n in [10, {n_max}], bound {tol}"
-    return [_check("alt-harmonic-cubed-residual", worst, tol, detail)]
+    detail = f"max n^3 residual {worst:.3e} over n in [10, 10000], bound 2.0"
+    return [_check("alt-harmonic-cubed-residual", worst, 2.0, detail)]
 
 
 def _power_callables(p: int):
@@ -88,10 +72,8 @@ def _power_callables(p: int):
     return f, df, d3f
 
 
-def suite_euler_maclaurin(tolerances: dict | None = None) -> list[CheckResult]:
+def suite_euler_maclaurin() -> list[CheckResult]:
     """Polynomial exactness and cross-order agreement of the correction."""
-    tol_exact = _tol(tolerances, "em-exactness")
-    tol_agree = _tol(tolerances, "em-order-agreement")
     results = []
 
     worst = 0.0
@@ -104,7 +86,7 @@ def suite_euler_maclaurin(tolerances: dict | None = None) -> list[CheckResult]:
         direct = sum(f(float(i)) for i in range(m, n + 1)) - _poly_integral(coeffs, m, n)
         value = asym.em_sum_minus_integral(f, m, n, asym.EmOrder.THREE, df=df, d3f=d3f)
         worst = max(worst, abs(value - direct))
-    results.append(_check("em-cubic-exactness", worst, tol_exact, f"max error {worst:.3e}"))
+    results.append(_check("em-cubic-exactness", worst, 1e-12, f"max error {worst:.3e}"))
 
     worst = 0.0
     for p in (-1, 0, 1):
@@ -112,7 +94,7 @@ def suite_euler_maclaurin(tolerances: dict | None = None) -> list[CheckResult]:
         one = asym.em_sum_minus_integral(f, 2, 1000, asym.EmOrder.ONE, df=df)
         three = asym.em_sum_minus_integral(f, 2, 1000, asym.EmOrder.THREE, df=df, d3f=d3f)
         worst = max(worst, abs(one - three))
-    results.append(_check("em-order-agreement", worst, tol_agree, f"max order gap {worst:.3e}"))
+    results.append(_check("em-order-agreement", worst, 1e-10, f"max order gap {worst:.3e}"))
     return results
 
 
@@ -123,31 +105,28 @@ def _poly_integral(coeffs, m: float, n: float) -> float:
     return total
 
 
-def suite_power_sums(n_max: int = 5000, tolerances: dict | None = None) -> list[CheckResult]:
-    """Closed forms track the direct sums up to a constant, at rate 1/n."""
-    tol_pair = _tol(tolerances, "pair-difference-bound")
-    tol_alt = _tol(tolerances, "alternating-sum-bound")
-    tol_mod = _tol(tolerances, "closed-modulus")
+def suite_power_sums() -> list[CheckResult]:
+    """Closed forms track the direct sums up to a constant, at rate 1/n for 50 <= n <= 5000."""
     results = []
 
-    ns = np.arange(50, n_max + 1)
+    ns = np.arange(50, 5001)
     for p in (1, -1):
-        prefix = asym.power_sum_prefix(p, 2 * n_max + 1)
+        prefix = asym.power_sum_prefix(p, 10_001)
         diff = (prefix[2 * ns - 3] - asym.power_sum_closed(p, 2 * ns)) - (
             prefix[ns - 3] - asym.power_sum_closed(p, ns)
         )
         fitted = float((ns * np.abs(diff)).max())
-        detail = f"fitted C {fitted:.3e} over n in [50, {n_max}], bound {tol_pair}"
-        results.append(_check(f"pair-difference-rate-p{p:+d}", fitted, tol_pair, detail))
+        detail = f"fitted C {fitted:.3e} over n in [50, 5000], bound 10.0"
+        results.append(_check(f"pair-difference-rate-p{p:+d}", fitted, 10.0, detail))
 
     prefix0 = asym.power_sum_prefix(0, 10_001, alternating=True)
     worst = float(np.abs(prefix0).max())
-    detail = f"max |sum| {worst:.3e} for n <= 10^4, bound {tol_alt}"
-    results.append(_check("alternating-sum-bounded", worst, tol_alt, detail))
+    detail = f"max |sum| {worst:.3e} for n <= 10^4, bound 2.0"
+    results.append(_check("alternating-sum-bounded", worst, 2.0, detail))
 
     mods = np.abs(asym.power_sum_closed(0, np.arange(3, 2000), alternating=True))
     worst = float(np.abs(mods - 0.5).max())
-    results.append(_check("alternating-closed-modulus", worst, tol_mod, f"max | |closed| - 1/2 | = {worst:.3e}"))
+    results.append(_check("alternating-closed-modulus", worst, 1e-15, f"max | |closed| - 1/2 | = {worst:.3e}"))
     return results
 
 
@@ -160,28 +139,25 @@ GAP_CASES = ((0.0, 0.5),) + tuple(
 LIMIT_DISTANCE_RTOL = 1e-14
 
 
-def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
+def suite_gap_limit() -> list[CheckResult]:
     """Radial gaps of the asymptotic family reach their limits at rate 1/t."""
-    tol_gap = _tol(tolerances, "gap-tolerance")
-    tol_rate = _tol(tolerances, "gap-rate-bound")
-    tol_a = _tol(tolerances, "gap-a-independence")
     results = []
 
     a, b = (np.array(column) for column in zip(*GAP_CASES))
     z = asym.asymptotic_form(1e4, a, b)
     worst = float(np.abs(asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4)) - asym.gap_limit(b)).max())
-    results.append(_check("gap-limit-at-1e4", worst, tol_gap, f"max |gap - limit| {worst:.3e}"))
+    results.append(_check("gap-limit-at-1e4", worst, 1e-2, f"max |gap - limit| {worst:.3e}"))
 
     ts = np.geomspace(1e2, 1e5, 61)
     z = asym.asymptotic_form(ts, a[:, None], b[:, None])
     res = ts * (asym.spiral_gap(z, 0.5 * math.pi * np.log(ts)) - asym.gap_limit(b[:, None]))
     worst = float(np.abs(res).max())
-    results.append(_check("gap-rate-bounded", worst, tol_rate, f"max t*residual {worst:.3e}"))
+    results.append(_check("gap-rate-bounded", worst, 10.0, f"max t*residual {worst:.3e}"))
 
     z = asym.asymptotic_form(1e4, np.array([0.0, 0.25, 1.0]), b[:, None])
     gaps = asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4))
     spread = float((gaps.max(axis=1) - gaps.min(axis=1)).max())
-    results.append(_check("gap-a-independence", spread, tol_a, f"max spread over a {spread:.3e}"))
+    results.append(_check("gap-a-independence", spread, 1e-3, f"max spread over a {spread:.3e}"))
 
     worst = 0.0
     for family, approx in asym.APPROXIMANTS.items():
@@ -196,30 +172,27 @@ def suite_gap_limit(tolerances: dict | None = None) -> list[CheckResult]:
     return results
 
 
-def suite_approximant(window: tuple[int, int] = (500, 1000), tolerances: dict | None = None) -> list[CheckResult]:
+def suite_approximant() -> list[CheckResult]:
     """In each family's fixed frame, centre residuals from the approximant decay like 1/n (approximant units)."""
-    tol = _tol(tolerances, "approximant-residual-bound")
-    ns = np.arange(window[0], window[1] + 1)
+    ns = np.arange(500, 1001)
     results = []
     for family, centers in ((Family.ALL_POLYGONS, centers_all), (Family.ODD_POLYGONS, centers_odd)):
-        w = FRAMES[family].to_spiral(centers(window[1]).slice(*window))
+        w = FRAMES[family].to_spiral(centers(1000).slice(500, 1000))
         residual = np.abs(w * NORMALIZATION - asym.approximant(ns, family))
         worst = float((ns * residual).max())
-        detail = f"max n*residual {worst:.3e} on window {window}, bound {tol}"
-        results.append(_check(f"approximant-residual-rate-{family.value}", worst, tol, detail))
+        detail = f"max n*residual {worst:.3e} on window (500, 1000), bound 50.0"
+        results.append(_check(f"approximant-residual-rate-{family.value}", worst, 50.0, detail))
     return results
 
 
 OFFSET_CASES = ((4.0 / math.pi, 1.0, 5.0), (4.0 / math.pi, 5.0, 25.0), (1.0, 1.0, 5.0))
 
 
-def suite_offset_distance(tolerances: dict | None = None) -> list[CheckResult]:
+def suite_offset_distance() -> list[CheckResult]:
     """Offset-curve distances match c/sqrt(1+beta^2) at rate 1/r."""
-    scale = _tol(tolerances, "offset-rate-bound") / 5.0
     results = []
     rs = np.geomspace(1e2, 1e4, 25)
     for beta, c, bound in OFFSET_CASES:
-        bound = bound * scale
         d, predicted = offset_distance_profile(beta, c, rs)
         worst = float((np.abs(d - predicted) * rs).max())
         detail = f"max r*|d - pred| {worst:.3e}, bound {bound:g}"
@@ -238,13 +211,7 @@ SUITES = {
 }
 
 
-def _tol(tolerances: dict | None, name: str) -> float:
-    if tolerances and name in tolerances:
-        return float(tolerances[name])
-    return DEFAULT_TOLERANCES[name]
-
-
-def run_suite(name: str, tolerances: dict | None = None) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](tolerances=tolerances)
+    return SUITES[name]()

@@ -5,7 +5,6 @@ import pytest
 from polyspiral.geometry import Family, centers_all, centers_odd
 from polyspiral.metrics import (
     FRAMES,
-    TARGET_SPIRAL,
     distance_table,
     fit_motion_to_approximant,
     fit_motion_to_spiral,
@@ -35,7 +34,7 @@ def p_table(p_seq):
 @pytest.fixture(scope="session")
 def p_spiral_fit(p_seq, p_fit):
     motion, _ = p_fit
-    return fit_motion_to_spiral(p_seq, TARGET_SPIRAL, (500, 1000), init=motion)
+    return fit_motion_to_spiral(p_seq, (500, 1000), init=motion)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +45,7 @@ def q_fit(q_seq):
 @pytest.fixture(scope="session")
 def q_spiral_fit(q_seq, q_fit):
     motion, _ = q_fit
-    return fit_motion_to_spiral(q_seq, TARGET_SPIRAL, (500, 1000), init=motion)
+    return fit_motion_to_spiral(q_seq, (500, 1000), init=motion)
 
 
 @pytest.fixture(scope="session")

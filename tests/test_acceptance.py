@@ -53,12 +53,12 @@ def test_criterion_03_turning_structure():
 
 
 def test_criterion_04_harmonic_bounds_strict():
-    result = verify.suite_harmonic(10_000)[0]
+    result = verify.suite_harmonic()[0]
     _report("04-harmonic-bounds-strict", result.passed, result.detail)
 
 
 def test_criterion_05_alt_harmonic_residual():
-    result = verify.suite_alt_harmonic(10_000)[0]
+    result = verify.suite_alt_harmonic()[0]
     _report("05-alt-harmonic-residual", result.passed, result.detail)
 
 
@@ -135,11 +135,11 @@ def test_criterion_10_offset_curve_distance():
 
 def test_criterion_11_headline_constants(p_table, q_table):
     start = time.perf_counter()
-    p_ex = mt.richardson_extrapolate(p_table, stride=2)
+    p_ex = mt.richardson_extrapolate(p_table)
     p_means = mt.parity_means(p_ex.select((p_ex.n >= 900) & (p_ex.n <= 1000)), extrapolated=True)
     even, odd = p_means[Parity.EVEN], p_means[Parity.ODD]
 
-    q_ex = mt.richardson_extrapolate(q_table, stride=2)
+    q_ex = mt.richardson_extrapolate(q_table)
     q_sel = q_ex.extrapolated[(q_ex.n >= 900) & (q_ex.n <= 1000)]
     q_mean = float(np.mean(q_sel[~np.isnan(q_sel)]))
 

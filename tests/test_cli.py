@@ -66,17 +66,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2 and "unknown suite" in err
 
-    def test_tolerance_override_forces_failure(self, capsys):
-        code, out, _ = run(capsys, "verify", "alt-harmonic", "--tolerance", "alt-harmonic-bound=1e-9")
-        assert code == 1
-        assert "FAIL" in out
-
     @pytest.mark.parametrize(
         "suite, name, error",
         [
             ("harmonic", "detemple_bounds", lambda bounds: (bounds[0], bounds[1] * (1.0 - 1e-3))),
             ("alt-harmonic", "alt_harmonic_expansion", lambda value: value + 1e-9),
             ("gap-limit", "spiral_gap", lambda gap: gap + 0.02),
+            ("euler-maclaurin", "em_sum_minus_integral", lambda value: value + 1e-9),
+            ("power-sums", "power_sum_closed", lambda value: value * (1.0 + 1e-6)),
+            ("approximant", "approximant", lambda value: value * (1.0 + 1e-6)),
         ],
     )
     def test_suites_check_the_library(self, monkeypatch, capsys, suite, name, error):
@@ -84,7 +82,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", suite)
         assert code == 0 and "FAIL" not in out
         original = getattr(asym, name)
-        monkeypatch.setattr(asym, name, lambda *args: error(original(*args)))
+        monkeypatch.setattr(asym, name, lambda *args, **kwargs: error(original(*args, **kwargs)))
         code, out, _ = run(capsys, "verify", suite)
         assert code == 1
         assert f"FAIL {suite}/" in out
@@ -92,10 +90,20 @@ class TestVerify:
     @pytest.mark.parametrize(
         "pair", ["no-such-name=1", "gap-tolerance", "gap-tolerance=abc", "gap-tolerance=nan", "gap-tolerance=inf"]
     )
-    def test_bad_tolerance_is_usage_error(self, capsys, pair):
-        code, _, err = run(capsys, "verify", "harmonic", "--tolerance", pair)
-        assert code == 2
-        assert err.startswith("error:")
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, pair):
+        # the bounds are fixed: no flag and no config key overrides one, whatever the name or value
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "harmonic", "--tolerance", pair])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        name, _, value = pair.partition("=")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": {name: value}}))
+        code, out, err = run(capsys, "verify", "harmonic", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: bad config file {cfg}: unknown key 'tolerances'; choose from " + (
+            "['family', 'n_max', 'window', 'format', 'out', 'extrapolate']\n"
+        )
 
 
 class TestFitAndDistances:
@@ -238,14 +246,15 @@ class TestConfigPrecedence:
             ("centers", '{"window": [true, 9]}', "bad config file"),
             ("centers", '{"out": null}', "bad config file"),
             ("centers", '{"format": "xml"}', "format must be"),
-            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}', "tolerance"),
+            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}', "bad config file"),
+            ("centers", '{"nmax": 5}', "bad config file"),
             ("fit", '{"n_max": 10}', "fit window"),  # default window too short for the fit
             ("fit", '{"family": "odd", "n_max": 20}', "fit window"),
             ("fit", '{"n_max": 3}', "fit window"),
         ],
         ids=[
             "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
-            "window", "window-float", "window-bool", "out-null", "format", "tolerance",
+            "window", "window-float", "window-bool", "out-null", "format", "tolerance", "nmax",
             "fit-window-all", "fit-window-odd", "fit-n-max-3",
         ],
     )
@@ -284,7 +293,7 @@ class TestOptions:
         parser = build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         counts = {name: sum(bool(a.option_strings) and a.dest != "help" for a in p._actions) for name, p in commands.items()}
-        assert counts == {"centers": 5, "verify": 3, "fit": 6, "distances": 6, "render": 4}
+        assert counts == {"centers": 5, "verify": 2, "fit": 6, "distances": 6, "render": 4}
 
     @pytest.mark.parametrize(
         "argv",
@@ -293,6 +302,7 @@ class TestOptions:
             "distances --window 5:9",
             "centers --window 5:9",
             "verify all --n-max 5",
+            "verify all --tolerance a=1",
             "render --family all",
         ],
     )

@@ -111,7 +111,7 @@ class TestSpiralFit:
         phi0, c0 = 1.234, 3.5 - 2.25j
         seq = CenterSequence(Family.ALL_POLYGONS, 300, mt.RigidMotion(phi0, c0).frame().from_spiral(w))
         init = mt.RigidMotion(phi0 + 1e-4, c0 + 1e-4 - 1e-4j)
-        motion, diag = mt.fit_motion_to_spiral(seq, mt.TARGET_SPIRAL, (300, 499), init=init)
+        motion, diag = mt.fit_motion_to_spiral(seq, (300, 499), init=init)
         assert diag.objective <= 1e-10
         assert motion.rotation == pytest.approx(phi0, abs=1e-6)
         assert abs(motion.translation - c0) < 1e-6
@@ -125,12 +125,13 @@ class TestSpiralFit:
     def test_window_too_short(self, p_seq, p_fit):
         motion, _ = p_fit
         with pytest.raises(ValueError):
-            mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 510), init=motion)
+            mt.fit_motion_to_spiral(p_seq, (500, 510), init=motion)
 
-    def test_threshold_failure(self, p_seq, p_fit):
+    def test_threshold_failure(self, monkeypatch, p_seq, p_fit):
         motion, _ = p_fit
+        monkeypatch.setattr(mt, "MAX_POLISH_OBJECTIVE", 1e-30)
         with pytest.raises(mt.FitError):
-            mt.fit_motion_to_spiral(p_seq, mt.TARGET_SPIRAL, (500, 1000), init=motion, objective_threshold=1e-30)
+            mt.fit_motion_to_spiral(p_seq, (500, 1000), init=motion)
 
 
 def _table(ns, distances):
@@ -176,7 +177,7 @@ class TestDistanceTable:
 class TestRichardson:
     def test_exact_linear_tail_eliminated(self):
         ns = np.arange(10, 81)
-        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns**2), stride=2)
+        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns**2))
         have = ~np.isnan(out.extrapolated)
         assert out.extrapolated[have] == pytest.approx(0.25, abs=1e-12)
         assert np.any(have & (out.n % 2 == 1))
@@ -184,36 +185,31 @@ class TestRichardson:
 
     def test_partner_parity_respected(self):
         ns = np.array([10, 11, 20, 23])
-        out = mt.richardson_extrapolate(_table(ns, 1.0 + 1.0 / ns), stride=2)
+        out = mt.richardson_extrapolate(_table(ns, 1.0 + 1.0 / ns))
         ext = dict(zip(out.n.tolist(), out.extrapolated.tolist()))
         assert not math.isnan(ext[10])  # partner 20
         assert not math.isnan(ext[11])  # partner 23 (= 2n + 1)
         assert math.isnan(ext[20])
         assert math.isnan(ext[23])
 
-    def test_stride_guard(self):
-        with pytest.raises(ValueError):
-            mt.richardson_extrapolate(_table([], []), stride=1)
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.sets(st.integers(min_value=2, max_value=120), min_size=20, max_size=100),
-        st.integers(min_value=2, max_value=4),
         st.floats(min_value=0.1, max_value=2.0),
     )
-    def test_matches_per_index_partner_search(self, indices, stride, scale):
+    def test_matches_per_index_partner_search(self, indices, scale):
         ns = sorted(indices)
         distances = [scale + 1.0 / n**2 + 0.01 * math.sin(n) for n in ns]
         by_n = dict(zip(ns, distances))
         expected = []
         for n, d in zip(ns, distances):
-            m = next((m for m in (stride * n, stride * n + 1, stride * n - 1) if m in by_n and (m - n) % 2 == 0), None)
+            m = next((m for m in (2 * n, 2 * n + 1, 2 * n - 1) if m in by_n and (m - n) % 2 == 0), None)
             expected.append(math.nan if m is None else (m * m * by_n[m] - n * n * d) / (m * m - n * n))
-        out = mt.richardson_extrapolate(_table(ns, distances), stride=stride)
+        out = mt.richardson_extrapolate(_table(ns, distances))
         np.testing.assert_array_equal(out.extrapolated, np.array(expected))
 
     def test_extrapolated_headline_values(self, p_table):
-        out = mt.richardson_extrapolate(p_table, stride=2)
+        out = mt.richardson_extrapolate(p_table)
         means = mt.parity_means(_between(out, 900, 1000), extrapolated=True)
         assert means[Parity.EVEN] == pytest.approx(5.0 / 6.0, abs=1e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 12.0, abs=1e-3)
