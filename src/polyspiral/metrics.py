@@ -6,7 +6,7 @@ distance table, Richardson extrapolation and the inner-side classification
 measure the centres in those coordinates.  Two fit routes estimate the
 same motion from a window of centres and serve as cross-checks of the
 constants: a direct fit against the family's closed-form centre
-approximant, and a Nelder-Mead polish of a given motion until the
+approximant, and a Gauss-Newton polish of a given motion until the
 nearest-distance profile is constant within each parity class.
 """
 
@@ -213,22 +213,19 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
     return motion, diag
 
 
-_POLISH_STEPS = (1e-4, 1e-2, 1e-2)
-
 #: Largest summed within-parity variance fit_motion_to_spiral accepts.
 MAX_POLISH_OBJECTIVE = 1e-4
 
+#: Gauss-Newton steps of fit_motion_to_spiral; from the approximant fit two already reach float64 noise.
+_GAUSS_NEWTON_STEPS = 4
 
-def _parity_variance_objective(params, centers: np.ndarray, parities: np.ndarray) -> float:
-    phi, cx, cy = params
-    w = RigidMotion(phi, complex(cx, cy)).frame().to_spiral(centers)
-    d = np.abs(nearest_distances(TARGET_SPIRAL, w, turns=1)[0])
-    total = 0.0
-    for val in (0, 1):
-        sel = d[parities == val]
-        if len(sel) > 1:
-            total += float(np.var(sel))
-    return total
+
+def _parity_centred(x: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Each row of x minus the mean of the rows of its parity, divided by the root of their count."""
+    out = np.empty_like(x)
+    for sel in (odd, ~odd):
+        out[sel] = (x[sel] - x[sel].mean(axis=0)) / math.sqrt(np.count_nonzero(sel))
+    return out
 
 
 def fit_motion_to_spiral(
@@ -236,42 +233,44 @@ def fit_motion_to_spiral(
 ) -> tuple[RigidMotion, FitDiagnostics]:
     """Polish a motion until nearest distances to TARGET_SPIRAL are parity-constant.
 
-    Minimizes the summed within-parity variance of the centres' unsigned
-    nearest distances in the motion's spiral coordinates with a Nelder-Mead
-    simplex started at init (in practice the approximant fit), steps 1e-4
-    in rotation and 1e-2 in translation, and raises FitError above
-    MAX_POLISH_OBJECTIVE.  Used as an independent cross-check of that fit.
+    Runs _GAUSS_NEWTON_STEPS Gauss-Newton steps on (rotation, Re and Im
+    translation) from init (in practice the approximant fit) and raises
+    FitError if the objective, the summed within-parity variance of the
+    window's distance_table distances, ends above MAX_POLISH_OBJECTIVE.
+    A distance moves by Re(conj(nu)*dw) when its mapped centre w moves by
+    dw, where nu = (i*beta - 1)*exp(i*theta)/sqrt(1 + beta^2) is the inner
+    unit normal at the nearest angle theta; dw/drotation = -i*w,
+    dw/dRe translation = -exp(-i*rotation)/NORMALIZATION and
+    dw/dIm translation = i*dw/dRe translation.  Residuals and Jacobian
+    columns, each minus its parity mean, are weighted by 1/sqrt(rows of that
+    parity), so the squared residuals sum to the objective.  Used as an
+    independent cross-check of the approximant fit; evaluations counts the
+    distance_table calls.
     """
-    from scipy.optimize import minimize  # ~0.55 s and ~50 MiB, so only the spiral route pays it
-
-    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
-    if len(ns) < 16:
+    lo, hi = window
+    if hi - lo + 1 < 16:
         raise ValueError("window length must be >= 16")
-    parities = ns % 2
+    centers = seq.slice(lo, hi)
+    odd = np.arange(lo, hi + 1) % 2 == 1
+    motion = init
+    for _ in range(_GAUSS_NEWTON_STEPS):
+        frame = motion.frame()
+        table = distance_table(seq, frame, hi, n_min=lo)
+        w = frame.to_spiral(centers)
+        normal = (1j * GROWTH_RATE - 1.0) * np.exp(1j * table.theta) / math.sqrt(1.0 + GROWTH_RATE**2)
+        dw_dre = -cmath.exp(-1j * motion.rotation) / NORMALIZATION
+        slopes = [(np.conj(normal) * dw).real for dw in (-1j * w, dw_dre, 1j * dw_dre)]
+        centred = _parity_centred(np.column_stack([table.distance, *slopes]), odd)
+        step = np.linalg.lstsq(centred[:, 1:], -centred[:, 0], rcond=None)[0].tolist()
+        motion = RigidMotion(motion.rotation + step[0], motion.translation + complex(step[1], step[2]))
 
-    x0 = (init.rotation, init.translation.real, init.translation.imag)
-    simplex = np.array([x0] + [[x0[k] + (_POLISH_STEPS[k] if i == k else 0.0) for k in range(3)] for i in range(3)])
-    result = minimize(
-        _parity_variance_objective,
-        x0,
-        args=(centers, parities),
-        method="Nelder-Mead",
-        options={"initial_simplex": simplex, "fatol": 1e-12, "xatol": 1e-10, "maxfev": 10_000, "maxiter": 10_000},
-    )
-    if result.fun > MAX_POLISH_OBJECTIVE:
-        raise FitError(f"no consistent motion: best objective {result.fun:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
-
-    phi, cx, cy = result.x
-    motion = RigidMotion(float(phi), complex(cx, cy))
-    table = distance_table(seq, motion.frame(), window[1], n_min=window[0])
-    diag = FitDiagnostics(
-        residual_max=float(np.abs(table.distance).max()),
-        residual_slope=0.0,
-        per_parity_mean=parity_means(table),
-        objective=float(result.fun),
-        evaluations=result.nfev,
-    )
-    return motion, diag
+    table = distance_table(seq, motion.frame(), hi, n_min=lo)
+    residuals = _parity_centred(table.distance, odd)
+    objective = float(residuals @ residuals)
+    if objective > MAX_POLISH_OBJECTIVE:
+        raise FitError(f"no consistent motion: best objective {objective:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
+    residual_max = float(np.abs(table.distance).max())
+    return motion, FitDiagnostics(residual_max, 0.0, parity_means(table), objective, _GAUSS_NEWTON_STEPS + 1)
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:

@@ -39,18 +39,20 @@ class LogSpiral:
 
 #: Newton iterations per start, fixed so every point runs the same vector ops.
 _NEWTON_ITERS = 8
+#: Whole turns searched on each side of the seed's branch.
+_TURNS = 2
 #: Largest angle change of one iteration, in radians.
 _MAX_STEP = 0.5
 _TINY = np.finfo(float).tiny  # keeps 0 / 0 out of a step where g' = 0 and g'' <= 0
 
 
-def _solve_block(spiral: LogSpiral, z: np.ndarray, turns: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve_block(spiral: LogSpiral, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beta = spiral.beta
     theta_radius = np.log(np.abs(z)) / beta
     arg = np.angle(z)
     theta0 = arg + TWO_PI * np.round((theta_radius - arg) / TWO_PI)
     # one row per branch, plus a second start on the centre branch (branch axis, point axis)
-    branches = np.append(np.arange(-turns, turns + 1), 0)
+    branches = np.append(np.arange(-_TURNS, _TURNS + 1), 0)
     theta = theta0 + TWO_PI * branches[:, None]
     lo, hi = theta - math.pi, theta + math.pi
     theta[-1] = theta_radius
@@ -75,7 +77,7 @@ def _solve_block(spiral: LogSpiral, z: np.ndarray, turns: int) -> tuple[np.ndarr
     return np.where(inner, d, -d), theta[best, cols]
 
 
-def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
+def nearest_distances(spiral: LogSpiral, z):
     """Vectorized signed nearest distance and angle from each point of z to the spiral.
 
     The distance is positive on the spiral's inner side, left of the
@@ -84,7 +86,7 @@ def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
 
     Seeds: theta0 is the angle on the ray through the point at the turn
     whose radius best matches the point's modulus.  Branch k, for k in
-    [-turns, turns], covers the angles within pi of theta0 + 2*pi*k and
+    [-_TURNS, _TURNS], covers the angles within pi of theta0 + 2*pi*k and
     starts at that centre.  The centre branch starts a second time at the
     radius-matching angle log|z| / beta itself, which matters on a steep
     spiral (at beta = 3 it is the nearest start for ~7 % of random points).
@@ -94,25 +96,21 @@ def nearest_distances(spiral: LogSpiral, z, turns: int = 2):
     _MAX_STEP radians; where g'' <= 0 a descent step of _MAX_STEP replaces
     the Newton step; iterates are clamped to their branch.  The start with
     the smallest distance wins.  Points are solved BLOCK at a time, so
-    temporaries are (2*turns + 2) x BLOCK and only the outputs grow with
-    the number of points.  The solve runs in the calling process: the
-    spiral-route fit calls it ~2,000 times per fit, and forking workers per
-    call would cost more than it saves.  distance_table spreads its blocks
-    over the CPUs.
+    temporaries are (2*_TURNS + 2) x BLOCK and only the outputs grow with
+    the number of points.  The solve runs in the calling process;
+    distance_table spreads its blocks over the CPUs, one block per call.
 
     Checked against dense angle sampling for beta from 0.05 to 3 and
     moduli over 22 e-folds; a steeper spiral may need more iterations.
     Returns (signed distances, thetas).
     """
-    if turns < 1:
-        raise ValueError("turns must be >= 1")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z == 0):
         raise ValueError("points must be nonzero (the curve accumulates at the origin)")
     distances = np.empty(z.shape)
     thetas = np.empty(z.shape)
     for i in range(0, z.size, BLOCK):
-        distances[i : i + BLOCK], thetas[i : i + BLOCK] = _solve_block(spiral, z[i : i + BLOCK], turns)
+        distances[i : i + BLOCK], thetas[i : i + BLOCK] = _solve_block(spiral, z[i : i + BLOCK])
     return distances, thetas
 
 

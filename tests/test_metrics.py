@@ -246,6 +246,13 @@ class TestOddFamilyPipeline:
         _, diag = q_spiral_fit
         assert diag.objective <= 1e-10
 
+    def test_spiral_route_recovers_frame(self, q_spiral_fit):
+        # the spiral route alone lands on the committed constants of FRAMES
+        motion, _ = q_spiral_fit
+        frame, committed = motion.frame(), mt.FRAMES[Family.ODD_POLYGONS]
+        assert abs(cmath.phase(frame.K / committed.K)) < 1e-11
+        assert abs(frame.z0 - committed.z0) < 1e-6
+
     def test_approximant_residual_rate(self, q_seq, q_fit):
         motion, diag = q_fit
         ns = np.arange(500, 1001)

@@ -275,8 +275,10 @@ class TestLazyScipy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_spiral_route_still_imports_it(self):
+    def test_spiral_route_runs_without_scipy(self):
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        code = "import sys; sys.modules['scipy'] = None; from polyspiral import cli; sys.exit(cli.main())"
         argv = "fit --family all --n-max 200 --window 100:200 --route spiral".split()
-        proc = run_python("-m", "polyspiral.cli", *argv)
+        proc = run_python("-c", code, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "fit_all_spiral.json").read_text(encoding="utf-8")

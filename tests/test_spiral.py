@@ -35,9 +35,9 @@ def sampled_min(spiral, z, lo, hi, samples=20001, zooms=5):
     return best
 
 
-def solve(z, turns=2):
+def solve(z):
     """Signed distance and angle of the single point z."""
-    d, theta = sp.nearest_distances(BASE, [z], turns=turns)
+    d, theta = sp.nearest_distances(BASE, [z])
     return float(d[0]), float(theta[0])
 
 
@@ -93,10 +93,6 @@ class TestNearestDistance:
             sp.nearest_distances(BASE, 0j)
         with pytest.raises(ValueError):
             sp.nearest_distances(BASE, [1.0 + 0j, 0j])
-
-    def test_rejects_bad_turns(self):
-        with pytest.raises(ValueError):
-            sp.nearest_distances(BASE, 1.0 + 1j, turns=0)
 
     @settings(max_examples=50, deadline=None)
     @given(
