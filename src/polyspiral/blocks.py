@@ -1,19 +1,23 @@
 """An ordered map of a function over fixed-size blocks of a range, on every CPU.
 
-Row formatting in the CLI and the nearest-point solve in ``distance_table``
-both work on blocks of BLOCK items.  ``map_blocks`` yields a function's
-result for each block in order.  With more than one block, more than one
-CPU and the ``fork`` start method, the blocks run in a pool of forked
-worker processes, one per CPU this process may use; otherwise they run
-in-process.  The workers inherit the function and its data by fork, so only
-block start indices and results cross the pipes.
+Row formatting in the CLI and the nearest-point solve both work on blocks
+of BLOCK items; only row formatting goes through the pool.  The solve is
+cheap enough per point that forking would cost more than it saves, so
+``spiral.nearest_distances`` loops over its blocks in-process.
+
+``map_blocks`` yields a function's result for each block in order.  With
+more than one block, more than one CPU and the ``fork`` start method, the
+blocks run in a pool of forked worker processes, one per CPU this process
+may use; otherwise they run in-process.  The workers inherit the function
+and its data by fork, so only block start indices and results cross the
+pipes.
 
 The pool names ``fork`` rather than taking the platform default because
 Python 3.14 changes that default to ``forkserver``, which would pickle the
 function and everything it holds.  On Python >= 3.12 ``os.fork`` warns
 (DeprecationWarning) when the process already runs threads, as numpy's
-OpenBLAS does once loaded; the workers only run numpy ufuncs and string
-formatting, never BLAS.
+OpenBLAS does once loaded; the workers only slice numpy arrays and format
+strings, never BLAS.
 """
 
 from __future__ import annotations

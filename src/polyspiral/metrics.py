@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
-from .blocks import BLOCK, map_blocks
 from .geometry import CenterSequence, Family
 from .spiral import LogSpiral, nearest_distances
 
@@ -279,21 +278,14 @@ def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: i
     TARGET_SPIRAL grows at fl(4/pi) = 4/pi + GROWTH_RATE_ERROR, which puts
     it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); that
     radial offset, projected on the normal, is subtracted from each signed
-    distance (positive inside), on either side.  The nearest points
-    are solved BLOCK at a time through map_blocks, on every CPU.
+    distance (positive inside), on either side.  The nearest points are
+    solved in this process by one nearest_distances call.
     """
     if n_min is None:
         n_min = seq.first_index
     if not seq.first_index <= n_min <= n_max <= seq.last_index:
         raise ValueError(f"[{n_min}, {n_max}] outside sequence range [{seq.first_index}, {seq.last_index}]")
-    w = frame.to_spiral(seq.slice(n_min, n_max))
-
-    def solve(start: int) -> tuple[np.ndarray, np.ndarray]:
-        return nearest_distances(TARGET_SPIRAL, w[start : start + BLOCK])
-
-    d, theta = np.empty(w.size), np.empty(w.size)
-    for i, (d_block, theta_block) in enumerate(map_blocks(solve, w.size)):
-        d[i * BLOCK : (i + 1) * BLOCK], theta[i * BLOCK : (i + 1) * BLOCK] = d_block, theta_block
+    d, theta = nearest_distances(TARGET_SPIRAL, frame.to_spiral(seq.slice(n_min, n_max)))
     d -= GROWTH_RATE_ERROR * theta * TARGET_SPIRAL.radius(theta) / math.sqrt(1.0 + GROWTH_RATE**2)
     return DistanceTable(np.arange(n_min, n_max + 1), d, theta)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyspiral import spiral as sp
 from polyspiral.blocks import BLOCK
-from polyspiral.geometry import Family
+from polyspiral.geometry import Family, centers_all
 from polyspiral.metrics import FRAMES
 
 BETA = 4.0 / math.pi
@@ -168,6 +168,75 @@ class TestNewtonSolver:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+
+def guard(beta):
+    """The largest log-radius gap the one-start path takes."""
+    return min(sp._NEAR_GAP, sp._NEAR_GAP_PER_BETA * beta)
+
+
+def points_at_gap(beta, gaps, angles):
+    """The point at log-radius beta*angle + gap on the ray of each angle."""
+    angles = np.asarray(angles, dtype=float)
+    return np.exp(beta * angles + np.asarray(gaps)) * np.exp(1j * angles)
+
+
+class TestNearPath:
+    @pytest.mark.parametrize("beta", [0.05, BETA, 3.0], ids=["flat", "base", "steep"])
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["inside", "outside"])
+    def test_guard_boundary_matches_sampled_minimum(self, beta, side):
+        spiral = sp.LogSpiral(beta)
+        angles = np.linspace(-6.0, 6.0, 25) / beta  # radii exp(-6)..exp(6)
+        gaps = side * guard(beta) * np.where(np.arange(angles.size) % 2 == 0, 1.0, -1.0)
+        z = points_at_gap(beta, gaps, angles)
+        d, _ = sp.nearest_distances(spiral, z)
+        seed = np.log(np.abs(z)) / beta
+        oracle = sampled_min(spiral, z, seed - 4.0 * math.pi, seed + 4.0 * math.pi)
+        np.testing.assert_array_less(np.abs(np.abs(d) - oracle), 1e-13 * np.abs(z))
+        assert np.all((d > 0.0) == (gaps < 0.0))  # inside the turn is the inner side
+
+    @pytest.mark.parametrize("beta", [0.05, BETA, 3.0], ids=["flat", "base", "steep"])
+    def test_one_start_agrees_with_multi_start(self, beta, monkeypatch):
+        spiral = sp.LogSpiral(beta)
+        rng = np.random.default_rng(12)
+        angles = rng.uniform(-6.0, 6.0, 400) / beta
+        z = points_at_gap(beta, rng.uniform(-0.999, 0.999, angles.size) * guard(beta), angles)
+        d, theta = sp.nearest_distances(spiral, z)
+        monkeypatch.setattr(sp, "_NEAR_GAP", 0.0)  # every point takes the multi-start path
+        d_multi, theta_multi = sp.nearest_distances(spiral, z)
+        np.testing.assert_array_less(np.abs(d - d_multi), 2e-15 * np.abs(z))
+        np.testing.assert_allclose(theta, theta_multi, rtol=0.0, atol=1e-13)
+
+    def test_mixed_block_keeps_order(self):
+        rng = np.random.default_rng(13)
+        angles = rng.uniform(-12.0, 12.0, 3000)
+        near = rng.random(angles.size) < 0.5
+        gaps = np.where(near, 0.5, rng.uniform(1.05, 4.0, angles.size)) * guard(BETA)
+        gaps *= rng.choice([-1.0, 1.0], angles.size)
+        z = points_at_gap(BETA, gaps, angles)
+        d, theta = sp.nearest_distances(BASE, z)
+        for sel in (near, ~near):
+            d_sel, theta_sel = sp.nearest_distances(BASE, z[sel])
+            np.testing.assert_allclose(d[sel], d_sel, rtol=1e-14)
+            np.testing.assert_allclose(theta[sel], theta_sel, rtol=1e-14)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs x86 extended-precision long double")
+    def test_tail_mean_is_unbiased(self):
+        # Rows 8e5..1e6 of the all family, the tail that distances --n-max 1e6 averages.
+        # The reference polishes each returned angle by two Newton steps in long double
+        # from the same float64 point.  Taking the smaller of two float64 evaluations of
+        # one minimum biases this mean by -4.9e-6 (33 standard errors); one start, -4.5e-7.
+        w = FRAMES[Family.ALL_POLYGONS].to_spiral(centers_all(1_000_000).slice(800_000, 1_000_000))
+        d, theta = sp.nearest_distances(BASE, w)
+        z, t = w.astype(np.clongdouble), theta.astype(np.longdouble)
+        rate = np.longdouble(BETA) + 1j
+        for _ in range(2):
+            p = np.exp(rate * t)
+            gap = np.conj(p - z)
+            t -= (gap * rate * p).real / (np.abs(rate * p) ** 2 + (gap * rate * rate * p).real)
+        gap = z - np.exp(rate * t)
+        error = d - np.copysign(np.hypot(gap.real, gap.imag), d)
+        assert abs(float(np.mean(error))) < 1.5e-6
 
 
 class TestOffsetProfile:
