@@ -2,7 +2,8 @@
 convergence tables and SVG figures.
 
 Exit codes: 0 all good, 1 check or fit failure, 2 usage error, 3 I/O error.
-Numbers are printed with at most 15 significant digits so identical
+CSV and text output write floats as format(x, ".15g"), JSON as repr (the
+shortest text that reads back as the same float), so identical
 configurations produce identical bytes.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import verify
+from . import floattext, verify
 from .asymptotics import Parity, limit_distance
 from .blocks import BLOCK, map_blocks
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
@@ -152,19 +154,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write(out: str | None, head: str, tail: str = "", rows=None, columns=(), sep: str = "") -> None:
+def _write(out: str | None, head: str, tail: str = "", row=(), columns=(), sep: str = "") -> None:
     """The CLI's one output path: head, rows, then tail, to out or to stdout.
 
-    rows(*lists) formats BLOCK entries of each numpy column at a time into
-    row strings joined by sep; map_blocks formats the blocks on every CPU
-    and hands them back in order.  sys.stdout is looked up per call because
-    callers swap it (tests, perfbench/tracer.py).  Commands compute
-    everything before calling this, so a failed run writes nothing.
+    row is a floattext template over the numpy columns; floattext.rows
+    formats BLOCK rows at a time, joined by sep, and map_blocks formats the
+    blocks on every CPU and hands them back in order.  sys.stdout is looked
+    up per call because callers swap it (tests, perfbench/tracer.py).
+    Commands compute everything before calling this, so a failed run
+    writes nothing.
     """
+    template = (sep, *row) if sep else row
 
     def block(start: int) -> str:
-        chunk = rows(*(column[start : start + BLOCK].tolist() for column in columns))
-        return (sep if start else "") + sep.join(chunk)
+        text = floattext.rows(template, [column[start : start + BLOCK] for column in columns])
+        return text if start else text[len(sep) :]
 
     try:
         with (
@@ -180,25 +184,31 @@ def _write(out: str | None, head: str, tail: str = "", rows=None, columns=(), se
         raise IOError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
-# Row templates of centers and distances over one chunk's column lists.  CSV
-# floats are formatted as _fmt does (.15g, -0.0 folded); a JSON row is the
-# record json.dumps(indent=2, sort_keys=True) writes inside "records", floats
-# as repr.  json.dumps spells NaN and inf unlike repr, so the commands assert
-# their columns finite; the one exception is a missing extrapolation (NaN),
-# written empty or null.
+def _parity(n: np.ndarray) -> floattext.Field:
+    return floattext.words(_PARITY, n % 2)
+
+
+# Row templates of centers and distances over their (n, value, value)
+# columns.  CSV floats are written as _fmt does (.15g, -0.0 folded); a JSON
+# row is the record json.dumps(indent=2, sort_keys=True) writes inside
+# "records", floats as repr.  json.dumps spells NaN and inf unlike repr, so
+# the commands assert their columns finite; the one exception is a missing
+# extrapolation (NaN), written empty or null.
 _ROWS = {
-    ("centers", "csv"): lambda n, re, im: [f"{k},{x + 0.0:.15g},{y + 0.0:.15g}\n" for k, x, y in zip(n, re, im)],
-    ("centers", "json"): lambda n, re, im: [
-        f'    {{\n      "im": {y!r},\n      "n": {k},\n      "re": {x!r}\n    }}' for k, x, y in zip(n, re, im)
-    ],
-    ("distances", "csv"): lambda n, d, e: [
-        f"{k},{_PARITY[k % 2]},{x + 0.0:.15g},{'' if y != y else format(y + 0.0, '.15g')}\n" for k, x, y in zip(n, d, e)
-    ],
-    ("distances", "json"): lambda n, d, e: [
-        f'    {{\n      "distance": {x!r},\n      "extrapolated": {"null" if y != y else repr(y)},\n'
-        f'      "n": {k},\n      "parity": "{_PARITY[k % 2]}"\n    }}'
-        for k, x, y in zip(n, d, e)
-    ],
+    ("centers", "csv"): ((0, floattext.integers), ",", (1, floattext.g15), ",", (2, floattext.g15), "\n"),
+    ("centers", "json"): (
+        '    {\n      "im": ', (2, floattext.shortest), ',\n      "n": ', (0, floattext.integers),
+        ',\n      "re": ', (1, floattext.shortest), "\n    }",
+    ),
+    ("distances", "csv"): (
+        (0, floattext.integers), ",", (0, _parity), ",", (1, floattext.g15), ",",
+        (2, functools.partial(floattext.g15, nan="")), "\n",
+    ),
+    ("distances", "json"): (
+        '    {\n      "distance": ', (1, floattext.shortest),
+        ',\n      "extrapolated": ', (2, functools.partial(floattext.shortest, nan="null")),
+        ',\n      "n": ', (0, floattext.integers), ',\n      "parity": "', (0, _parity), '"\n    }',
+    ),
 }
 
 
@@ -258,7 +268,9 @@ def cmd_fit(cfg: RunConfig, route: str) -> int:
         "translation_re": motion.translation.real,
         "translation_im": motion.translation.imag,
         "residual_max": diag.residual_max,
+        "residual_slope": diag.residual_slope,
         "objective": diag.objective,
+        "evaluations": diag.evaluations,
         "parity_mean": {p.value: v for p, v in diag.per_parity_mean.items()},
     }
     _write(cfg.out, json.dumps(info, indent=2, sort_keys=True) + "\n")

@@ -138,11 +138,22 @@ class DistanceTable:
 
 @dataclass
 class FitDiagnostics:
+    """How a motion fit ended.
+
+    residual_slope is the slope of log|residual| against log n over the
+    window, how fast the final residuals decay; evaluations counts the
+    objective evaluations, 0 for a fit without an objective.
+    """
+
     residual_max: float
     residual_slope: float
     per_parity_mean: dict[Parity, float]
     objective: float | None = None
     evaluations: int = 0
+
+
+def _residual_slope(ns: np.ndarray, residuals: np.ndarray) -> float:
+    return float(np.polyfit(np.log(ns), np.log(np.abs(residuals) + 1e-300), 1)[0])
 
 
 def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: complex) -> tuple[float, complex]:
@@ -205,10 +216,9 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
             f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
         )
 
-    slope = float(np.polyfit(np.log(ns), np.log(residuals + 1e-300), 1)[0])
     motion = RigidMotion(phi, c)
     means = parity_means(distance_table(seq, motion.frame(), window[1], n_min=window[0]))
-    diag = FitDiagnostics(float(residuals.max()), slope, means)
+    diag = FitDiagnostics(float(residuals.max()), _residual_slope(ns, residuals), means)
     return motion, diag
 
 
@@ -269,7 +279,8 @@ def fit_motion_to_spiral(
     if objective > MAX_POLISH_OBJECTIVE:
         raise FitError(f"no consistent motion: best objective {objective:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
     residual_max = float(np.abs(table.distance).max())
-    return motion, FitDiagnostics(residual_max, 0.0, parity_means(table), objective, _GAUSS_NEWTON_STEPS + 1)
+    slope = _residual_slope(table.n, residuals)
+    return motion, FitDiagnostics(residual_max, slope, parity_means(table), objective, _GAUSS_NEWTON_STEPS + 1)
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:

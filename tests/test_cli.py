@@ -155,6 +155,8 @@ class TestFitAndDistances:
         info = json.loads(out)
         assert info["route"] == "approximant" and info["objective"] is None
         assert info["parity_mean"]["even"] == pytest.approx(7.0 / 24.0, abs=1e-4)
+        # residuals of the approximant fit decay like 1/n; it evaluates no objective
+        assert info["residual_slope"] == pytest.approx(-1.0, abs=0.1) and info["evaluations"] == 0
 
     def test_odd_family_spiral_route_is_warm_started(self, capsys):
         code, out, _ = run(capsys, "fit", "--family", "odd", "--n-max", "400", "--window", "100:200", "--route", "spiral")
@@ -162,6 +164,8 @@ class TestFitAndDistances:
         info = json.loads(out)
         assert info["route"] == "spiral" and info["objective"] <= 1e-10
         assert info["parity_mean"]["odd"] == pytest.approx(7.0 / 24.0, abs=1e-4)
+        # the slope comes from the final parity-centred residuals, which shrink across the window
+        assert info["residual_slope"] < 0 and info["evaluations"] == 5
 
     def test_odd_family_short_default_window(self, capsys):
         # the default window 7:15 has 9 points: enough for the approximant

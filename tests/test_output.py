@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyspiral
-from polyspiral import blocks, cli
+from polyspiral import blocks, cli, floattext
 from polyspiral.blocks import BLOCK
 from polyspiral.geometry import CenterSequence, Family
 from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
@@ -190,10 +190,10 @@ def test_slow_sink_bounds_blocks_in_flight(monkeypatch):
     monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
     started = multiprocessing.get_context("fork").Value("i", 0)  # shared with the forked workers
 
-    def rows(n):
+    def xs(n):  # a floattext field: mib // BLOCK - 1 x's in every row
         with started.get_lock():
             started.value += 1
-        return ["x" * (mib // BLOCK - 1) + "\n"] * len(n)
+        return floattext.words(["x" * (mib // BLOCK - 1)], np.zeros(len(n), int))
 
     ahead = []
 
@@ -210,7 +210,7 @@ def test_slow_sink_bounds_blocks_in_flight(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", SlowSink())
     try:
-        cli._write(None, "head\n", "tail\n", rows, (np.arange(n_blocks * BLOCK),))
+        cli._write(None, "head\n", "tail\n", ((0, xs), "\n"), (np.arange(n_blocks * BLOCK),))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
