@@ -21,7 +21,6 @@ import numpy as np
 
 from . import floattext, verify
 from .asymptotics import Parity, limit_distance
-from .blocks import BLOCK, map_blocks
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     FRAMES,
@@ -35,6 +34,7 @@ from .metrics import (
     parity_means,
     richardson_extrapolate,
 )
+from .spiral import BLOCK
 from .svgout import scene_from_chain
 
 MAX_N = 10**6
@@ -103,7 +103,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise IOError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"bad config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError(f"bad config file {args.config}: expected a JSON object")
@@ -158,26 +158,18 @@ def _write(out: str | None, head: str, tail: str = "", row=(), columns=(), sep: 
     """The CLI's one output path: head, rows, then tail, to out or to stdout.
 
     row is a floattext template over the numpy columns; floattext.rows
-    formats BLOCK rows at a time, joined by sep, and map_blocks formats the
-    blocks on every CPU and hands them back in order.  sys.stdout is looked
-    up per call because callers swap it (tests, perfbench/tracer.py).
-    Commands compute everything before calling this, so a failed run
-    writes nothing.
+    formats BLOCK rows at a time, joined by sep, and each block is written
+    before the next is formatted.  sys.stdout is looked up per call because
+    callers swap it (tests, perfbench/tracer.py).  Commands compute
+    everything before calling this, so a failed run writes nothing.
     """
     template = (sep, *row) if sep else row
-
-    def block(start: int) -> str:
-        text = floattext.rows(template, [column[start : start + BLOCK] for column in columns])
-        return text if start else text[len(sep) :]
-
     try:
-        with (
-            contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh,
-            contextlib.closing(map_blocks(block, len(columns[0]) if columns else 0)) as blocks,
-        ):
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(head)
-            for text in blocks:
-                fh.write(text)
+            for start in range(0, len(columns[0]) if columns else 0, BLOCK):
+                text = floattext.rows(template, [column[start : start + BLOCK] for column in columns])
+                fh.write(text if start else text[len(sep) :])
             fh.write(tail)
             fh.flush()
     except OSError as exc:

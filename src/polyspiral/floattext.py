@@ -79,7 +79,7 @@ _AT = dict(zip(_TABLE_SIZES, np.cumsum([0, *_TABLE_SIZES.values()]).tolist()))
 @functools.cache
 def _words_table() -> np.ndarray:
     """Every word a fixed-point number is made of, as uint32; built on first use, so that
-    commands writing no rows, and a parent whose workers write them, never hold it.
+    commands writing no rows never hold it.
 
     The tables, by digit group g:
     digits "0042"; lead "  42", for the group holding the first digit

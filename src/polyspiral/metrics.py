@@ -290,7 +290,7 @@ def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: i
     it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); that
     radial offset, projected on the normal, is subtracted from each signed
     distance (positive inside), on either side.  The nearest points are
-    solved in this process by one nearest_distances call.
+    solved by one nearest_distances call.
     """
     if n_min is None:
         n_min = seq.first_index

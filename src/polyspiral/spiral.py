@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -105,6 +103,10 @@ def _solve_block(spiral: LogSpiral, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(inner, d, -d), theta
 
 
+#: Items per block: points of one nearest-point solve, rows of one CLI write.
+BLOCK = 1 << 14
+
+
 def nearest_distances(spiral: LogSpiral, z):
     """Vectorized signed nearest distance and angle from each point of z to the spiral.
 
@@ -164,9 +166,9 @@ def nearest_distances(spiral: LogSpiral, z):
 
     Points are solved BLOCK at a time, so temporaries are at most
     (2*_TURNS + 2) x BLOCK and only the outputs grow with the number of
-    points.  The solve runs in the calling process.  Checked against
-    dense angle sampling for beta from 0.05 to 3 and moduli over 22
-    e-folds; a steeper spiral may need more multi-start iterations.
+    points.  Checked against dense angle sampling for beta from 0.05 to 3
+    and moduli over 22 e-folds; a steeper spiral may need more
+    multi-start iterations.
     Returns (signed distances, thetas).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))

@@ -252,20 +252,21 @@ class TestConfigPrecedence:
             ("centers", '{"format": "xml"}', "format must be"),
             ("centers", '{"tolerances": {"gap-tolerance": "nan"}}', "bad config file"),
             ("centers", '{"nmax": 5}', "bad config file"),
+            ("centers", b"\xff\xfe", "bad config file"),
             ("fit", '{"n_max": 10}', "fit window"),  # default window too short for the fit
             ("fit", '{"family": "odd", "n_max": 20}', "fit window"),
             ("fit", '{"n_max": 3}', "fit window"),
         ],
         ids=[
             "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
-            "window", "window-float", "window-bool", "out-null", "format", "tolerance", "nmax",
+            "window", "window-float", "window-bool", "out-null", "format", "tolerance", "nmax", "not-utf-8",
             "fit-window-all", "fit-window-odd", "fit-n-max-3",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.json"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == "" and err.startswith(f"error: {message}")

@@ -1,7 +1,7 @@
 """The streamed CLI output path: record formatting, chunk boundaries, memory, I/O errors.
 
-The CLI writes ``centers`` and ``distances`` rows ``blocks.BLOCK`` at a time,
-formatted on every CPU by ``blocks.map_blocks``.
+The CLI writes ``centers`` and ``distances`` rows ``spiral.BLOCK`` at a time,
+each block formatted by ``floattext.rows`` and written before the next.
 These tests pin that output to a whole-document reference built here, the
 way the output was produced before it was streamed: ``"\\n".join`` of CSV
 lines and ``json.dumps(indent=2, sort_keys=True)`` of the full payload.
@@ -11,7 +11,6 @@ import contextlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyspiral
-from polyspiral import blocks, cli, floattext
-from polyspiral.blocks import BLOCK
+from polyspiral import cli
 from polyspiral.geometry import CenterSequence, Family
 from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
+from polyspiral.spiral import BLOCK
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(polyspiral.__file__).resolve().parents[1]
@@ -156,69 +155,6 @@ def test_peak_memory_is_bounded(tmp_path, fmt):
     assert out.stat().st_size > 8 * 10**6
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("command, reference", [("centers", centers_reference), ("distances", distances_reference)])
-def test_every_cpu_count_writes_the_same_bytes(tmp_path, monkeypatch, command, reference, cpus):
-    monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
-    n_max = 2 * BLOCK + 1 + 2  # 2*BLOCK + 1 rows: a last block of one row
-    for fmt in cli.FORMATS:
-        out = tmp_path / f"{command}.{fmt}"
-        argv = [command, "--n-max", str(n_max), "--format", fmt, "--out", str(out)]
-        assert cli.main(argv + (["--extrapolate"] if command == "distances" else [])) == 0
-        assert out.read_text(encoding="utf-8") == reference(n_max, fmt)
-
-
-def test_distance_table_is_identical_at_every_cpu_count(monkeypatch):
-    n_max = 2 * BLOCK + 1 + 2
-    seq = cli._sequence(cli.RunConfig(n_max=n_max))
-    tables = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(blocks, "cpu_count", lambda: cpus)
-        tables.append(distance_table(seq, FRAMES[Family.ALL_POLYGONS], n_max))
-    for table in tables[1:]:
-        for column in ("n", "distance", "theta"):
-            assert np.array_equal(getattr(table, column), getattr(tables[0], column)), column
-
-
-def test_slow_sink_bounds_blocks_in_flight(monkeypatch):
-    # Each block formats to 1 MiB.  Behind a sink that sleeps per write, the
-    # workers may run at most IN_FLIGHT_PER_WORKER blocks ahead of it, so the
-    # parent never holds more than a few blocks; an unbounded map runs ~16 of
-    # the 24 blocks ahead and holds their results.  tracemalloc starts at the
-    # first row write, after the fork, so that it slows only the parent.
-    workers, n_blocks, mib = 2, 24, 2**20
-    monkeypatch.setattr(blocks, "cpu_count", lambda: workers)
-    started = multiprocessing.get_context("fork").Value("i", 0)  # shared with the forked workers
-
-    def xs(n):  # a floattext field: mib // BLOCK - 1 x's in every row
-        with started.get_lock():
-            started.value += 1
-        return floattext.words(["x" * (mib // BLOCK - 1)], np.zeros(len(n), int))
-
-    ahead = []
-
-    class SlowSink:
-        def write(self, text):
-            if text.startswith("x"):
-                if not tracemalloc.is_tracing():
-                    tracemalloc.start()
-                ahead.append(started.value - len(ahead))  # blocks started but not yet written
-                time.sleep(0.02)
-
-        def flush(self):
-            pass
-
-    monkeypatch.setattr(sys, "stdout", SlowSink())
-    try:
-        cli._write(None, "head\n", "tail\n", ((0, xs), "\n"), (np.arange(n_blocks * BLOCK),))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(ahead) == n_blocks
-    assert max(ahead) <= blocks.IN_FLIGHT_PER_WORKER * workers
-    assert peak <= (blocks.IN_FLIGHT_PER_WORKER * workers + 4) * mib
-
-
 class TestIoContract:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("fmt", cli.FORMATS)
@@ -228,21 +164,12 @@ class TestIoContract:
         assert code == 3
         assert err.startswith("i/o error: cannot write /dev/full") and "Traceback" not in err
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_device_with_workers_is_io_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(blocks, "cpu_count", lambda: 3)
-        assert cli.main(["centers", "--n-max", "100000", "--out", "/dev/full"]) == 3
-        assert capsys.readouterr().err.startswith("i/o error: cannot write /dev/full")
-        assert multiprocessing.active_children() == []
-
     def test_closed_pipe_exits_promptly_and_leaves_no_worker(self):
-        # like `centers --n-max 100000 | head -1`, with three workers forced
-        code = "import sys; from polyspiral import blocks, cli; blocks.cpu_count = lambda: 3; sys.exit(cli.main())"
-        proc = popen_python("-c", code, "centers", "--n-max", "100000")
+        # like `centers --n-max 100000 | head -1`
+        proc = popen_python("-m", "polyspiral.cli", "centers", "--n-max", "100000")
         assert proc.stdout.readline() == "n,re,im\n"
         proc.stdout.close()
         started = time.monotonic()
-        # stderr reaches EOF only when the CLI and every worker it forked have exited
         _, err = proc.communicate(timeout=60)
         assert time.monotonic() - started < 10
         assert proc.returncode == 3
@@ -268,12 +195,14 @@ def popen_python(*args: str) -> subprocess.Popen:
 
 
 class TestLazyScipy:
-    def test_cli_import_leaves_scipy_out(self):
+    def test_cli_import_leaves_scipy_out(self, tmp_path):
         prefixes = ("scipy", "mpmath", "multiprocessing", "concurrent")
-        code = f"import sys, polyspiral.cli; print(sorted(m for m in sys.modules if m.startswith({prefixes})))"
-        proc = run_python("-c", code)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # import only; then a run of several blocks of rows, all written in this one process
+        for run in ("", "polyspiral.cli.main(['centers', '--n-max', '100000', '--out', sys.argv[1]])"):
+            code = f"import sys, polyspiral.cli\n{run}\nprint(sorted(m for m in sys.modules if m.startswith({prefixes})))"
+            proc = run_python("-c", code, str(tmp_path / "centers.csv"))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", run
 
     def test_spiral_route_runs_without_scipy(self):
         # a None entry in sys.modules makes every import of scipy raise ImportError

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyspiral import spiral as sp
-from polyspiral.blocks import BLOCK
 from polyspiral.geometry import Family, centers_all
 from polyspiral.metrics import FRAMES
+from polyspiral.spiral import BLOCK
 
 BETA = 4.0 / math.pi
 BASE = sp.LogSpiral(BETA)
