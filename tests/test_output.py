@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyspiral
-from polyspiral import cli
+from polyspiral import cli, floattext
 from polyspiral.geometry import CenterSequence, Family
 from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
 from polyspiral.spiral import BLOCK
@@ -153,6 +153,86 @@ def test_peak_memory_is_bounded(tmp_path, fmt):
         tracemalloc.stop()
     assert peak <= 32 * 2**20
     assert out.stat().st_size > 8 * 10**6
+
+
+def run_on_cpus(cpus: int, *args: str) -> subprocess.CompletedProcess:
+    """run_python pinned to the first cpus CPUs of this host (all of them if it has fewer),
+    with numpy's BLAS and OpenMP thread pools set to cpus threads."""
+    allowed = set(sorted(os.sched_getaffinity(0))[:cpus]) if hasattr(os, "sched_getaffinity") else None
+    env = dict(python_env(), **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(cpus)))
+    pin = (lambda: os.sched_setaffinity(0, allowed)) if allowed else None
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, preexec_fn=pin)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("command, reference", [("centers", centers_reference), ("distances", distances_reference)])
+def test_every_cpu_count_writes_the_same_bytes(tmp_path, command, reference, cpus):
+    n_max = 2 * BLOCK + 1 + 2  # 2*BLOCK + 1 rows: a last block of one row
+    for fmt in cli.FORMATS:
+        out = tmp_path / f"{command}.{fmt}"
+        argv = [command, "--n-max", str(n_max), "--format", fmt, "--out", str(out)]
+        proc = run_on_cpus(cpus, "-m", "polyspiral.cli", *argv, *(["--extrapolate"] if command == "distances" else []))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text(encoding="utf-8") == reference(n_max, fmt)
+
+
+def test_distance_table_is_identical_at_every_cpu_count(tmp_path):
+    n_max = 2 * BLOCK + 1 + 2
+    code = (
+        "import sys, numpy as np\n"
+        "from polyspiral import cli\n"
+        "from polyspiral.geometry import Family\n"
+        "from polyspiral.metrics import FRAMES, distance_table\n"
+        f"t = distance_table(cli._sequence(cli.RunConfig(n_max={n_max})), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
+        "np.savez(sys.argv[1], n=t.n, distance=t.distance, theta=t.theta)\n"
+    )
+    tables = []
+    for cpus in (1, 2, 3):
+        path = tmp_path / f"table{cpus}.npz"
+        proc = run_on_cpus(cpus, "-c", code, str(path))
+        assert proc.returncode == 0, proc.stderr
+        tables.append(np.load(path))
+    for table in tables[1:]:
+        for column in ("n", "distance", "theta"):
+            assert np.array_equal(table[column], tables[0][column]), column
+
+
+def test_slow_sink_bounds_blocks_in_flight(monkeypatch):
+    # Each block formats to 1 MiB.  Behind a sink that sleeps per write, the
+    # CLI formats a block only after writing the one before it, so it never
+    # holds more than one block of text, plus the few MiB of temporaries that
+    # floattext.rows takes to format it; a writer that formatted every block
+    # first would hold all 24.  tracemalloc starts at the first row write.
+    n_blocks, mib = 24, 2**20
+    started = 0
+
+    def xs(n):  # a floattext field: mib // BLOCK - 1 x's in every row
+        nonlocal started
+        started += 1
+        return floattext.words(["x" * (mib // BLOCK - 1)], np.zeros(len(n), int))
+
+    ahead = []
+
+    class SlowSink:
+        def write(self, text):
+            if text.startswith("x"):
+                if not tracemalloc.is_tracing():
+                    tracemalloc.start()
+                ahead.append(started - len(ahead))  # blocks formatted but not yet written
+                time.sleep(0.02)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", SlowSink())
+    try:
+        cli._write(None, "head\n", "tail\n", ((0, xs), "\n"), (np.arange(n_blocks * BLOCK),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ahead) == n_blocks
+    assert max(ahead) == 1
+    assert peak <= 8 * mib
 
 
 class TestIoContract:
