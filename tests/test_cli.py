@@ -1,12 +1,14 @@
 import argparse
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from polyspiral import asymptotics as asym
 from polyspiral.cli import build_parser, main
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -65,6 +67,20 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2 and "unknown suite" in err
+        for suites in (["all", "nonsense"], ["nonsense", "all"]):
+            code, out, err = run(capsys, "verify", *suites)
+            assert code == 2 and out == "" and "unknown suite 'nonsense'" in err
+
+    @pytest.mark.parametrize("suites", [["all", "harmonic"], ["harmonic", "all"], ["all", "all"]])
+    def test_all_anywhere_runs_every_suite(self, capsys, suites):
+        code, out, err = run(capsys, "verify", *suites)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "verify_all.txt").read_text(encoding="utf-8")
+
+    def test_each_named_suite_runs_once(self, capsys):
+        _, once, _ = run(capsys, "verify", "harmonic", "alt-harmonic")
+        code, twice, _ = run(capsys, "verify", "harmonic", "alt-harmonic", "harmonic")
+        assert code == 0 and twice == once and once.count("PASS harmonic/") == 1
 
     @pytest.mark.parametrize(
         "suite, name, error",
@@ -90,20 +106,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "pair", ["no-such-name=1", "gap-tolerance", "gap-tolerance=abc", "gap-tolerance=nan", "gap-tolerance=inf"]
     )
-    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, pair):
-        # the bounds are fixed: no flag and no config key overrides one, whatever the name or value
+    def test_bad_tolerance_is_usage_error(self, capsys, pair):
+        # the bounds are fixed: no flag overrides one, whatever the name or value
         with pytest.raises(SystemExit) as exc:
             main(["verify", "harmonic", "--tolerance", pair])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
-        name, _, value = pair.partition("=")
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"tolerances": {name: value}}))
-        code, out, err = run(capsys, "verify", "harmonic", "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert err == f"error: bad config file {cfg}: unknown key 'tolerances'; choose from " + (
-            "['family', 'n_max', 'window', 'format', 'out', 'extrapolate']\n"
-        )
 
 
 class TestFitAndDistances:
@@ -143,6 +151,19 @@ class TestFitAndDistances:
         assert code == 2
         code, _, _ = run(capsys, "fit", "--n-max", "100", "--window", "banana")
         assert code == 2
+        code, out, err = run(capsys, "fit", "--n-max", "5", "--window", "5:9")
+        assert code == 2 and out == ""
+        assert err == "error: --window must satisfy 3 <= A < B <= n_max\n"
+
+    @pytest.mark.parametrize(
+        "argv", ["--n-max 3", "--family odd --n-max 20", "--n-max 10"], ids=["fit-n-max-3", "fit-window-odd", "fit-window-all"]
+    )
+    def test_default_window_too_short_is_usage_error(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "fit.json"
+        code, out, err = run(capsys, "fit", *argv.split(), "--out", str(out_file))
+        assert code == 2
+        assert out == "" and err.startswith("error: fit window")
+        assert not out_file.exists()
 
     def test_odd_family_default_window_too_short(self, capsys):
         code, out, err = run(capsys, "fit", "--family", "odd", "--n-max", "2")
@@ -216,81 +237,6 @@ class TestRender:
         assert code == 2
 
 
-class TestConfigPrecedence:
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"family": "all", "n_max": 5, "format": "csv"}))
-        code, out, _ = run(capsys, "centers", "--config", str(cfg))
-        assert code == 0
-        assert len(out.splitlines()) == 4  # header + rows 3..5
-
-    def test_flags_override_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"n_max": 5}))
-        code, out, _ = run(capsys, "centers", "--config", str(cfg), "--n-max", "4")
-        assert code == 0
-        assert len(out.splitlines()) == 3
-
-    def test_missing_config_is_io_error(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "centers", "--config", str(tmp_path / "none.json"))
-        assert code == 3
-
-    @pytest.mark.parametrize(
-        "command, text, message",
-        [
-            ("centers", "{not json", "bad config file"),
-            ("centers", "[1, 2]", "bad config file"),
-            ("centers", '{"family": "bogus"}', "bad config file"),
-            ("centers", '{"n_max": "abc"}', "bad config file"),
-            ("centers", '{"n_max": 5.9}', "bad config file"),
-            ("centers", '{"n_max": true}', "bad config file"),
-            ("distances", '{"n_max": 40, "extrapolate": "false"}', "bad config file"),
-            ("centers", '{"window": [1]}', "bad config file"),
-            ("centers", '{"window": [100.9, 200.2]}', "bad config file"),
-            ("centers", '{"window": [true, 9]}', "bad config file"),
-            ("centers", '{"out": null}', "bad config file"),
-            ("centers", '{"format": "xml"}', "format must be"),
-            ("centers", '{"tolerances": {"gap-tolerance": "nan"}}', "bad config file"),
-            ("centers", '{"nmax": 5}', "bad config file"),
-            ("centers", b"\xff\xfe", "bad config file"),
-            ("fit", '{"n_max": 10}', "fit window"),  # default window too short for the fit
-            ("fit", '{"family": "odd", "n_max": 20}', "fit window"),
-            ("fit", '{"n_max": 3}', "fit window"),
-        ],
-        ids=[
-            "not-json", "not-object", "family", "n-max", "n-max-float", "n-max-bool", "extrapolate-string",
-            "window", "window-float", "window-bool", "out-null", "format", "tolerance", "nmax", "not-utf-8",
-            "fit-window-all", "fit-window-odd", "fit-n-max-3",
-        ],
-    )
-    def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, command, text, message):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.json"
-        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
-        code, out, err = run(capsys, command, "--config", str(cfg))
-        assert code == 2
-        assert out == "" and err.startswith(f"error: {message}")
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
-
-    def test_config_window_leaves_distances_unchanged(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"window": "5:9"}))
-        args = ("distances", "--n-max", "300", "--extrapolate")
-        _, plain, _ = run(capsys, *args)
-        code, configured, _ = run(capsys, *args, "--config", str(cfg))
-        assert code == 0 and configured == plain
-
-    @pytest.mark.parametrize("command", ["centers", "render"])
-    def test_config_window_is_checked_only_by_fit(self, tmp_path, capsys, command):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"window": "5:9"}))
-        code, out, err = run(capsys, command, "--n-max", "5", "--config", str(cfg))
-        assert code == 0 and out and err == ""
-        code, out, err = run(capsys, "fit", "--n-max", "5", "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert err == "error: --window must satisfy 3 <= A < B <= n_max\n"
-
-
 class TestOptions:
     """Each subcommand declares only the options it reads."""
 
@@ -298,7 +244,7 @@ class TestOptions:
         parser = build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         counts = {name: sum(bool(a.option_strings) and a.dest != "help" for a in p._actions) for name, p in commands.items()}
-        assert counts == {"centers": 5, "verify": 2, "fit": 6, "distances": 6, "render": 4}
+        assert counts == {"centers": 4, "verify": 1, "fit": 5, "distances": 5, "render": 3}
 
     @pytest.mark.parametrize(
         "argv",
@@ -309,6 +255,12 @@ class TestOptions:
             "verify all --n-max 5",
             "verify all --tolerance a=1",
             "render --family all",
+            "render --window 5:9",
+            "centers --config x.json",
+            "verify all --config x.json",
+            "fit --config x.json",
+            "distances --config x.json",
+            "render --config x.json",
         ],
     )
     def test_dead_option_is_usage_error(self, capsys, argv):

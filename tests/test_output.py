@@ -65,12 +65,12 @@ class TestRecordFormatter:
     @given(st.lists(st.tuples(st.integers(0, 10**6), floats, floats), min_size=1, max_size=5))
     def test_centers(self, rows):
         n, re, im = (np.array(col) for col in zip(*rows))
-        json_cfg = cli.RunConfig(fmt="json")
-        text = stdout_of(cli._write_table, json_cfg, "centers", (n, re, im), "n,re,im\n", {"family": "odd"})
+        json_args = cli.build_parser().parse_args(["centers", "--format", "json"])
+        text = stdout_of(cli._write_table, json_args, "centers", (n, re, im), "n,re,im\n", {"family": "odd"})
         records = [{"n": k, "re": x, "im": y} for k, x, y in rows]
         assert text == json.dumps({"family": "odd", "records": records}, indent=2, sort_keys=True) + "\n"
 
-        text = stdout_of(cli._write_table, cli.RunConfig(fmt="csv"), "centers", (n, re, im), "n,re,im\n", {})
+        text = stdout_of(cli._write_table, cli.build_parser().parse_args(["centers"]), "centers", (n, re, im), "n,re,im\n", {})
         assert text == csv_reference("n,re,im", [(str(k), cli._fmt(x), cli._fmt(y)) for k, x, y in rows])
 
     @settings(max_examples=300, deadline=None)
@@ -83,13 +83,14 @@ class TestRecordFormatter:
         d = np.array([x for x, _ in rows])
         e = np.array([math.nan if y is None else y for _, y in rows])
         doc = {"summary": summary}
-        text = stdout_of(cli._write_table, cli.RunConfig(fmt="json"), "distances", (n, d, e), "", doc)
+        json_args = cli.build_parser().parse_args(["distances", "--format", "json"])
+        text = stdout_of(cli._write_table, json_args, "distances", (n, d, e), "", doc)
         records = [
             {"n": int(k), "parity": cli._PARITY[k % 2], "distance": x, "extrapolated": y} for k, (x, y) in zip(n, rows)
         ]
         assert text == json.dumps({**doc, "records": records}, indent=2, sort_keys=True) + "\n"
 
-        text = stdout_of(cli._write_table, cli.RunConfig(fmt="csv"), "distances", (n, d, e), "h\n", doc, "# f=1\n")
+        text = stdout_of(cli._write_table, cli.build_parser().parse_args(["distances"]), "distances", (n, d, e), "h\n", doc, "# f=1\n")
         lines = [(str(k), cli._PARITY[k % 2], cli._fmt(x), "" if y is None else cli._fmt(y)) for k, (x, y) in zip(n, rows)]
         assert text == csv_reference("h", lines, ["# f=1"])
 
@@ -99,7 +100,7 @@ class TestRecordFormatter:
 
     def test_non_finite_centres_never_reach_the_writer(self, tmp_path, monkeypatch):
         bad = CenterSequence(Family.ALL_POLYGONS, 3, np.array([1.0, math.inf, 2.0], dtype=complex))
-        monkeypatch.setattr(cli, "_sequence", lambda cfg: bad)
+        monkeypatch.setattr(cli, "_sequence", lambda args: bad)
         target = tmp_path / "c.json"
         with pytest.raises(AssertionError):
             cli.main(["centers", "--n-max", "5", "--format", "json", "--out", str(target)])
@@ -107,7 +108,7 @@ class TestRecordFormatter:
 
 
 def centers_reference(n_max: int, fmt: str) -> str:
-    seq = cli._sequence(cli.RunConfig(n_max=n_max))
+    seq = cli._sequence(cli.build_parser().parse_args(["centers", "--n-max", str(n_max)]))
     rows = zip(range(seq.first_index, seq.last_index + 1), seq.centers.real.tolist(), seq.centers.imag.tolist())
     if fmt == "csv":
         return csv_reference("n,re,im", [(str(n), cli._fmt(x), cli._fmt(y)) for n, x, y in rows])
@@ -116,9 +117,9 @@ def centers_reference(n_max: int, fmt: str) -> str:
 
 
 def distances_reference(n_max: int, fmt: str) -> str:
-    cfg = cli.RunConfig(n_max=n_max, extrapolate=True)
-    table = richardson_extrapolate(distance_table(cli._sequence(cfg), FRAMES[Family.ALL_POLYGONS], n_max))
-    summary = cli._summary(cfg, table)
+    args = cli.build_parser().parse_args(["distances", "--n-max", str(n_max), "--extrapolate"])
+    table = richardson_extrapolate(distance_table(cli._sequence(args), FRAMES[Family.ALL_POLYGONS], n_max))
+    summary = cli._summary(args, table)
     extrapolated = [None if math.isnan(x) else x for x in table.extrapolated.tolist()]
     rows = list(zip(table.n.tolist(), table.distance.tolist(), extrapolated))
     if fmt == "csv":
@@ -180,10 +181,9 @@ def test_distance_table_is_identical_at_every_cpu_count(tmp_path):
     n_max = 2 * BLOCK + 1 + 2
     code = (
         "import sys, numpy as np\n"
-        "from polyspiral import cli\n"
-        "from polyspiral.geometry import Family\n"
+        "from polyspiral.geometry import Family, centers_all\n"
         "from polyspiral.metrics import FRAMES, distance_table\n"
-        f"t = distance_table(cli._sequence(cli.RunConfig(n_max={n_max})), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
+        f"t = distance_table(centers_all({n_max}), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
         "np.savez(sys.argv[1], n=t.n, distance=t.distance, theta=t.theta)\n"
     )
     tables = []
