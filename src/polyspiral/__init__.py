@@ -32,8 +32,6 @@ from .asymptotics import (
 from .geometry import (
     CenterSequence,
     Family,
-    Polygon,
-    PolygonChain,
     Violation,
     build_chain,
     centers_all,
@@ -75,8 +73,6 @@ __all__ = [
     "GROWTH_RATE",
     "LogSpiral",
     "Parity",
-    "Polygon",
-    "PolygonChain",
     "RigidMotion",
     "SpiralFrame",
     "TARGET_SPIRAL",

@@ -37,6 +37,7 @@ from .spiral import BLOCK
 from .svgout import scene_from_chain
 
 MAX_N = 10**6
+RENDER_MAX_N = 100
 FORMATS = ("csv", "json")
 
 _PARITY = (Parity.EVEN.value, Parity.ODD.value)
@@ -224,8 +225,6 @@ def cmd_distances(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if args.n_max > 100:
-        raise UsageError("render is limited to --n-max <= 100")
     chain = build_chain(args.n_max)
     spiral_samples = None
     if args.overlay:
@@ -277,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "n_max" in args:  # render has no --family: it draws the all-polygon chain
             first = first_index(getattr(args, "family", Family.ALL_POLYGONS.value))
-            if not first <= args.n_max <= MAX_N:
-                raise UsageError(f"--n-max must be in [{first}, {MAX_N}]")
+            last = RENDER_MAX_N if args.command == "render" else MAX_N
+            if not first <= args.n_max <= last:
+                raise UsageError(f"--n-max must be in [{first}, {last}]")
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

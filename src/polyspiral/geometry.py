@@ -4,25 +4,20 @@ The chain starts from a unit equilateral triangle and attaches a regular
 (k+1)-gon to the k-gon, edge to edge, always bending left as little as
 possible.  Two centre sequences are built: one over all polygon counts
 (3, 4, 5, ...) and one over the odd counts only (3, 5, 7, ...).  The
-vertex-level chain is an independent computation path used to cross-check
-the closed-form centre sums.
+vertex-level chain is built independently, by walking from edge to edge
+without any centre, and cross-checks the closed-form centre sums.
 
 All polygons have side length 1; the plane is the complex plane.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-SEED_VERTICES = (  # counterclockwise
-    complex(0.0, 0.5),
-    complex(-math.sqrt(3.0) / 2.0, 0.0),
-    complex(0.0, -0.5),
-)
 
 
 class Family(Enum):
@@ -65,21 +60,6 @@ class CenterSequence:
             raise IndexError(f"range [{start}, {end}] outside [{self.first_index}, {self.last_index}]")
         i = start - self.first_index
         return self.centers[i : i + (end - start + 1)]
-
-
-@dataclass
-class Polygon:
-    sides: int
-    vertices: np.ndarray
-    centroid: complex
-
-
-@dataclass
-class PolygonChain:
-    polygons: list[Polygon]
-
-    def __len__(self) -> int:
-        return len(self.polygons)
 
 
 @dataclass(frozen=True)
@@ -155,30 +135,29 @@ def centers_odd(n_max: int) -> CenterSequence:
     return CenterSequence(Family.ODD_POLYGONS, 2, _centers(np.arange(3, 2 * n_max + 2, 2)))
 
 
-def circumradius(sides: int) -> float:
-    """Circumradius of a unit-side regular polygon."""
-    return 0.5 / math.sin(math.pi / sides)
-
-
-def build_chain(n_max: int) -> PolygonChain:
+def build_chain(n_max: int) -> list[np.ndarray]:
     """Vertex-level chain of polygons from the triangle up to the n_max-gon.
 
-    The seed triangle is fixed at SEED_VERTICES.  Each following m-gon is
-    placed around its centre so that its vertices 0 and m-1 span the edge
-    facing back along the step from the (m-1)-gon's centre.  Centroids are
-    vertex averages, an independent path from the closed-form centre sums.
+    chain[i] holds the counterclockwise vertices of the (i+3)-gon.  The walk
+    starts on the degenerate 2-gon's edge, from -i/2 in direction i, and
+    builds each m-gon on the edge it shares with its predecessor: vertex m-1
+    is the edge's start b, and the m unit edges leave it in direction
+    d*exp(2*pi*i*k/m), k = 0..m-1.  The next polygon's edge starts at vertex
+    (m+1)//2, the exit edge opposite the entry edge (the left one of the two
+    when m is odd), and an odd m-gon turns d by pi/m.  No centre is read, so
+    the centroids are an independent check of the closed-form centre sums.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    seed = np.array(SEED_VERTICES, dtype=complex)
-    polygons = [Polygon(3, seed, complex(seed.mean()))]
-    centers = centers_all(n_max).centers
-    steps = np.diff(centers)
-    for m, center, step in zip(range(4, n_max + 1), centers[1:], steps):
-        j = np.arange(m)
-        vertices = center - circumradius(m) * (step / abs(step)) * np.exp(1j * np.pi * (2 * j + 1) / m)
-        polygons.append(Polygon(m, vertices, complex(vertices.mean())))
-    return PolygonChain(polygons)
+    chain = []
+    start, direction = -0.5j, 1j
+    for m in range(3, n_max + 1):
+        vertices = start + np.cumsum(direction * np.exp(2j * np.pi * np.arange(m) / m))
+        chain.append(vertices)
+        start = vertices[(m + 1) // 2]
+        if m % 2:
+            direction *= cmath.exp(1j * math.pi / m)
+    return chain
 
 
 def _is_convex_cyclic(vertices: np.ndarray) -> bool:
@@ -192,37 +171,37 @@ def _is_convex_cyclic(vertices: np.ndarray) -> bool:
 EDGE_TOL = 1e-9
 
 
-def validate_chain(chain: PolygonChain) -> list[Violation]:
+def validate_chain(chain: list[np.ndarray]) -> list[Violation]:
     """Check unit edges, shared edges, convexity, centroid agreement.
 
-    Violations are returned as data; an empty list means the chain satisfies
-    every invariant.
+    chain[i] must hold the vertices of the (i+3)-gon, as build_chain returns
+    them.  Violations are returned as data; an empty list means the chain
+    satisfies every invariant.
     """
-    if not chain.polygons:
+    if not chain:
         raise ValueError("chain is empty")
     report: list[Violation] = []
-    n_max = chain.polygons[-1].sides
-    expected = centers_all(n_max)
+    expected = centers_all(len(chain) + 2)
 
-    for idx, poly in enumerate(chain.polygons):
-        if len(poly.vertices) != poly.sides:
-            report.append(Violation(poly.sides, "vertex-count", float(len(poly.vertices))))
+    for idx, vertices in enumerate(chain):
+        sides = idx + 3
+        if len(vertices) != sides:
+            report.append(Violation(sides, "vertex-count", float(len(vertices))))
             continue
-        edge_lengths = np.abs(np.roll(poly.vertices, -1) - poly.vertices)
+        edge_lengths = np.abs(np.roll(vertices, -1) - vertices)
         worst = float(np.max(np.abs(edge_lengths - 1.0)))
         if worst > EDGE_TOL:
-            report.append(Violation(poly.sides, "unit-edge", worst))
-        if not _is_convex_cyclic(poly.vertices):
-            report.append(Violation(poly.sides, "convexity", math.nan))
-        centroid_err = abs(complex(poly.vertices.mean()) - expected.center(poly.sides))
+            report.append(Violation(sides, "unit-edge", worst))
+        if not _is_convex_cyclic(vertices):
+            report.append(Violation(sides, "convexity", math.nan))
+        centroid_err = abs(complex(vertices.mean()) - expected.center(sides))
         if centroid_err > EDGE_TOL:
-            report.append(Violation(poly.sides, "centroid", centroid_err))
-        if idx + 1 < len(chain.polygons):
-            nxt = chain.polygons[idx + 1]
+            report.append(Violation(sides, "centroid", centroid_err))
+        if idx + 1 < len(chain):
             # build_chain puts the shared edge at the next polygon's vertices 0 and m-1
-            ends = nxt.vertices[[0, -1]]
-            dist = np.abs(ends[:, None] - poly.vertices[None, :])
+            ends = chain[idx + 1][[0, -1]]
+            dist = np.abs(ends[:, None] - vertices[None, :])
             shared = int(np.count_nonzero(dist.min(axis=1) < EDGE_TOL))
             if shared != 2:
-                report.append(Violation(poly.sides, "shared-edge", float(shared)))
+                report.append(Violation(sides, "shared-edge", float(shared)))
     return report

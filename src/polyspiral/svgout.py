@@ -7,11 +7,11 @@ scenes serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolygonChain
+MARGIN = 1.0  # blank border around the drawing, in polygon side lengths
 
 _STYLE = {
     "polygon": 'fill="none" stroke="#1f3a5f" stroke-width="0.03"',
@@ -23,9 +23,8 @@ _STYLE = {
 @dataclass
 class SvgScene:
     polygons: list[np.ndarray]
-    centers: list[complex] = field(default_factory=list)
-    spiral: np.ndarray | None = None
-    margin: float = 1.0
+    centers: list[complex]
+    spiral: np.ndarray | None
 
     def viewport(self) -> tuple[float, float, float, float]:
         xs, ys = [], []
@@ -40,10 +39,10 @@ class SvgScene:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("scene contains non-finite coordinates")
         return (
-            float(x.min() - self.margin),
-            float(y.min() - self.margin),
-            float(x.max() - x.min() + 2 * self.margin),
-            float(y.max() - y.min() + 2 * self.margin),
+            float(x.min() - MARGIN),
+            float(y.min() - MARGIN),
+            float(x.max() - x.min() + 2 * MARGIN),
+            float(y.max() - y.min() + 2 * MARGIN),
         )
 
     def to_svg(self) -> str:
@@ -72,9 +71,6 @@ def _num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def scene_from_chain(chain: PolygonChain, spiral_samples: np.ndarray | None = None) -> SvgScene:
-    return SvgScene(
-        polygons=[p.vertices for p in chain.polygons],
-        centers=[p.centroid for p in chain.polygons],
-        spiral=spiral_samples,
-    )
+def scene_from_chain(chain: list[np.ndarray], spiral_samples: np.ndarray | None = None) -> SvgScene:
+    """The chain's polygons, a dot at each vertex mean and the optional spiral."""
+    return SvgScene(polygons=chain, centers=[complex(v.mean()) for v in chain], spiral=spiral_samples)

@@ -33,7 +33,7 @@ def test_criterion_02_vertex_oracle_equivalence():
     start = time.perf_counter()
     chain = geo.build_chain(200)
     seq = geo.centers_all(200)
-    worst = max(abs(complex(p.vertices.mean()) - seq.center(p.sides)) for p in chain.polygons)
+    worst = max(abs(complex(p.mean()) - seq.center(len(p))) for p in chain)
     violations = geo.validate_chain(chain)
     elapsed = time.perf_counter() - start
     _report(

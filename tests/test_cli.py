@@ -233,8 +233,8 @@ class TestRender:
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
 
     def test_size_limit(self, capsys):
-        code, _, _ = run(capsys, "render", "--n-max", "101")
-        assert code == 2
+        for n_max in ("2", "101"):
+            assert run(capsys, "render", "--n-max", n_max) == (2, "", "error: --n-max must be in [3, 100]\n")
 
 
 class TestOptions:

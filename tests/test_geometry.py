@@ -240,18 +240,18 @@ class TestChain:
     def test_single_triangle(self):
         chain = geo.build_chain(3)
         assert len(chain) == 1
-        assert chain.polygons[0].sides == 3
-        assert abs(chain.polygons[0].centroid - complex(-SQRT3 / 6.0, 0.0)) < 1e-15
+        assert len(chain[0]) == 3
+        assert abs(chain[0].mean() - complex(-SQRT3 / 6.0, 0.0)) < 1e-15
 
     def test_shared_edge_midpoint_matches_construction(self):
         chain = geo.build_chain(5)
         assert len(chain) == 3
         seq = geo.centers_all(5)
-        tri, square = chain.polygons[0], chain.polygons[1]
-        dist = np.abs(tri.vertices[:, None] - square.vertices[None, :])
+        tri, square = chain[0], chain[1]
+        dist = np.abs(tri[:, None] - square[None, :])
         pairs = np.argwhere(dist < 1e-9)
         assert len(pairs) == 2
-        midpoint = tri.vertices[pairs[:, 0]].mean()
+        midpoint = tri[pairs[:, 0]].mean()
         apothem = 0.5 / math.tan(math.pi / 3.0)
         expected = seq.center(3) + apothem * np.exp(4j * math.pi / 3.0)
         assert abs(midpoint - expected) < 1e-12
@@ -259,13 +259,33 @@ class TestChain:
     def test_centroids_match_centers(self):
         chain = geo.build_chain(50)
         seq = geo.centers_all(50)
-        for poly in chain.polygons:
-            assert abs(complex(poly.vertices.mean()) - seq.center(poly.sides)) < 1e-9
+        for poly in chain:
+            assert abs(complex(poly.mean()) - seq.center(len(poly))) < 1e-9
+
+    def test_validation_catches_mirrored_centers(self, monkeypatch):
+        # the chain is built from edges alone, so centres that bend the wrong way disagree with it
+        correct = geo.centers_all
+
+        def mirrored(n_max):
+            seq = correct(n_max)
+            return geo.CenterSequence(seq.family, seq.first_index, seq.centers.conj())
+
+        monkeypatch.setattr(geo, "centers_all", mirrored)
+        centroid = [v for v in geo.validate_chain(geo.build_chain(20)) if v.kind == "centroid"]
+        assert len(centroid) == 17  # every polygon but the triangle, whose centre is real
+
+    def test_chain_reads_no_centre(self, monkeypatch):
+        def no_centres(*args):
+            raise AssertionError("build_chain read a centre")
+
+        for name in ("centers_all", "centers_odd", "_centers"):
+            monkeypatch.setattr(geo, name, no_centres)
+        assert len(geo.build_chain(50)) == 48
 
     def test_unit_edges(self):
         chain = geo.build_chain(40)
-        for poly in chain.polygons:
-            lengths = np.abs(np.roll(poly.vertices, -1) - poly.vertices)
+        for poly in chain:
+            lengths = np.abs(np.roll(poly, -1) - poly)
             assert np.max(np.abs(lengths - 1.0)) < 1e-9
 
     def test_validate_small_and_large(self):
@@ -274,7 +294,7 @@ class TestChain:
 
     def test_validate_flags_perturbation(self):
         chain = geo.build_chain(10)
-        chain.polygons[4].vertices[1] += 1e-3
+        chain[4][1] += 1e-3
         kinds = {v.kind for v in geo.validate_chain(chain)}
         assert "unit-edge" in kinds
 
@@ -286,13 +306,13 @@ class TestChain:
     @pytest.mark.parametrize("vertex", [0, -1])
     def test_validate_flags_moved_shared_vertex(self, vertex):
         chain = geo.build_chain(10)
-        chain.polygons[4].vertices[vertex] += 1e-3
+        chain[4][vertex] += 1e-3
         flagged = {v.polygon for v in geo.validate_chain(chain) if v.kind == "shared-edge"}
-        assert flagged == {chain.polygons[3].sides}
+        assert flagged == {len(chain[3])}
 
     def test_validate_rejects_empty(self):
         with pytest.raises(ValueError):
-            geo.validate_chain(geo.PolygonChain([]))
+            geo.validate_chain([])
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
