@@ -34,8 +34,7 @@ from .geometry import (
     Family,
     Violation,
     build_chain,
-    centers_all,
-    centers_odd,
+    centers,
     compensated_cumsum,
     validate_chain,
 )
@@ -81,8 +80,7 @@ __all__ = [
     "approximant",
     "asymptotic_form",
     "build_chain",
-    "centers_all",
-    "centers_odd",
+    "centers",
     "compensated_cumsum",
     "detemple_bounds",
     "distance_table",

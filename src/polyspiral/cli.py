@@ -20,7 +20,7 @@ import numpy as np
 
 from . import floattext, verify
 from .asymptotics import Parity, limit_distance
-from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
+from .geometry import CenterSequence, Family, build_chain, centers
 from .metrics import (
     FRAMES,
     DistanceTable,
@@ -47,10 +47,6 @@ class UsageError(Exception):
     pass
 
 
-def first_index(family: str) -> int:
-    return 3 if family == Family.ALL_POLYGONS.value else 2
-
-
 def _fmt(x: float) -> str:
     return f"{x + 0.0:.15g}"  # fold -0.0 into 0
 
@@ -65,7 +61,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def fit_window(args: argparse.Namespace) -> tuple[int, int]:
     """fit's window: --window A:B checked against n_max, or a default drawn from n_max."""
-    first = first_index(args.family)
+    first = Family(args.family).first_index
     if args.window is not None:
         lo, hi = window = _parse_window(args.window)
         if not (first <= lo < hi <= args.n_max):
@@ -135,9 +131,7 @@ def _write_table(args: argparse.Namespace, command: str, columns, csv_header: st
 
 
 def _sequence(args: argparse.Namespace) -> CenterSequence:
-    if args.family == Family.ALL_POLYGONS.value:
-        return centers_all(args.n_max)
-    return centers_odd(args.n_max)
+    return centers(Family(args.family), args.n_max)
 
 
 def cmd_centers(args: argparse.Namespace) -> int:
@@ -225,11 +219,11 @@ def cmd_distances(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    chain = build_chain(args.n_max)
+    chain = build_chain(Family.ALL_POLYGONS, args.n_max)
     spiral_samples = None
     if args.overlay:
         frame = FRAMES[Family.ALL_POLYGONS]
-        thetas = distance_table(centers_all(args.n_max), frame, args.n_max).theta
+        thetas = distance_table(centers(Family.ALL_POLYGONS, args.n_max), frame, args.n_max).theta
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
         spiral_samples = frame.from_spiral(TARGET_SPIRAL.point(grid))
     scene = scene_from_chain(chain, spiral_samples)
@@ -275,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "n_max" in args:  # render has no --family: it draws the all-polygon chain
-            first = first_index(getattr(args, "family", Family.ALL_POLYGONS.value))
+            first = Family(getattr(args, "family", Family.ALL_POLYGONS.value)).first_index
             last = RENDER_MAX_N if args.command == "render" else MAX_N
             if not first <= args.n_max <= last:
                 raise UsageError(f"--n-max must be in [{first}, {last}]")

@@ -1,11 +1,11 @@
 """Exact construction of the polygon-center sequences and the vertex-level chain.
 
-The chain starts from a unit equilateral triangle and attaches a regular
-(k+1)-gon to the k-gon, edge to edge, always bending left as little as
-possible.  Two centre sequences are built: one over all polygon counts
-(3, 4, 5, ...) and one over the odd counts only (3, 5, 7, ...).  The
-vertex-level chain is built independently, by walking from edge to edge
-without any centre, and cross-checks the closed-form centre sums.
+A chain joins unit regular polygons edge to edge, always bending left as
+little as possible, so that each odd s-gon turns it by pi/s.  A family is
+its list of side counts: 2, 3, 4, ... for all polygon counts and 3, 5, 7,
+... for the odd ones, the first polygon centred at 0.  The centres come
+from closed-form sums over that list; the vertex-level chain walks the same
+list from edge to edge without any centre, and cross-checks the sums.
 
 All polygons have side length 1; the plane is the complex plane.
 """
@@ -21,26 +21,42 @@ import numpy as np
 
 
 class Family(Enum):
-    """Which polygon-count sequence a centre sequence belongs to."""
+    """A chain's side counts.  Sequence index n names the n-gon in ``all``
+    and the (2n+1)-gon in ``odd``; the polygon before ``first_index`` is
+    the one centred at 0 (the degenerate 2-gon, or the triangle)."""
 
     ALL_POLYGONS = "all"
     ODD_POLYGONS = "odd"
 
+    @property
+    def first_index(self) -> int:
+        return 3 if self is Family.ALL_POLYGONS else 2
+
+    def sides(self, n_max: int) -> np.ndarray:
+        """Side counts of the polygons up to index n_max, from the one centred at 0."""
+        if n_max < self.first_index:
+            raise ValueError(f"n_max must be >= {self.first_index}")
+        indices = np.arange(self.first_index - 1, n_max + 1)
+        return indices if self is Family.ALL_POLYGONS else 2 * indices + 1
+
 
 @dataclass(frozen=True)
 class CenterSequence:
-    """Ordered polygon centres, indexed from ``first_index``.
+    """Ordered polygon centres, indexed from the family's ``first_index``.
 
     ``centers[i]`` is the centre with sequence index ``first_index + i``.
     Units are polygon side lengths.
     """
 
     family: Family
-    first_index: int
     centers: np.ndarray
 
     def __len__(self) -> int:
         return len(self.centers)
+
+    @property
+    def first_index(self) -> int:
+        return self.family.first_index
 
     @property
     def last_index(self) -> int:
@@ -105,96 +121,86 @@ def _expi_pi(s: np.ndarray) -> np.ndarray:
 def _centers(sides: np.ndarray) -> np.ndarray:
     """Centres of the polygons sides[1:], the sides[0]-gon centred at 0.
 
-    Consecutive polygons in the chain are joined edge to edge, so the step
-    between their centres is the sum of their apothems (the degenerate
-    2-gon has none).  The step leaving the s-gon points at pi times the sum
-    of 1/j over odd j <= s: each odd-sided polygon turns the chain by pi/s.
+    Consecutive polygons are joined edge to edge, so the step between their
+    centres is the sum of their apothems (the degenerate 2-gon has none).
+    The step leaving sides[0] points at pi, and each odd s-gon, sides[0]
+    included, turns the steps after it by pi/s.
     """
     apothem = np.where(sides > 2, 0.5 / np.tan(np.pi / sides), 0.0)
-    odd_reciprocals = 1.0 / np.arange(1, sides[-2] + 1, 2)
-    turns = compensated_cumsum(odd_reciprocals)[(sides[:-1] - 1) // 2]
-    return compensated_cumsum((apothem[:-1] + apothem[1:]) * _expi_pi(turns))
+    turns = np.concatenate(([1.0], np.where(sides[:-1] % 2 == 1, 1.0 / sides[:-1], 0.0)))
+    return compensated_cumsum((apothem[:-1] + apothem[1:]) * _expi_pi(compensated_cumsum(turns)[1:]))
 
 
-def centers_all(n_max: int) -> CenterSequence:
-    """Centres of the 3-gon through the n_max-gon, indexed by side count."""
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
-    return CenterSequence(Family.ALL_POLYGONS, 3, _centers(np.arange(2, n_max + 1)))
+def centers(family: Family, n_max: int) -> CenterSequence:
+    """Centres of the family's polygons with sequence index first_index..n_max."""
+    return CenterSequence(family, _centers(family.sides(n_max)))
 
 
-def centers_odd(n_max: int) -> CenterSequence:
-    """Centres of the odd-count chain 3, 5, 7, ...: index k is the (2k+1)-gon.
-
-    The triangle sits at the origin, so the step into index k has magnitude
-    (cot(pi/(2k-1)) + cot(pi/(2k+1))) / 2 and direction pi (H_2k - H_k / 2);
-    entries are indexed 2..n_max.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    return CenterSequence(Family.ODD_POLYGONS, 2, _centers(np.arange(3, 2 * n_max + 2, 2)))
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum, per component)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
 
 
-def build_chain(n_max: int) -> list[np.ndarray]:
-    """Vertex-level chain of polygons from the triangle up to the n_max-gon.
+def build_chain(family: Family, n_max: int) -> list[np.ndarray]:
+    """Vertex-level chain of the family's polygons, indices first_index..n_max.
 
-    chain[i] holds the counterclockwise vertices of the (i+3)-gon.  The walk
-    starts on the degenerate 2-gon's edge, from -i/2 in direction i, and
+    chain[i] holds the counterclockwise vertices of polygon first_index + i.
+    The walk starts on the exit edge of the sides[0]-gon centred at 0 and
     builds each m-gon on the edge it shares with its predecessor: vertex m-1
     is the edge's start b, and the m unit edges leave it in direction
-    d*exp(2*pi*i*k/m), k = 0..m-1.  The next polygon's edge starts at vertex
-    (m+1)//2, the exit edge opposite the entry edge (the left one of the two
-    when m is odd), and an odd m-gon turns d by pi/m.  No centre is read, so
-    the centroids are an independent check of the closed-form centre sums.
+    d*exp(2*pi*i*k/m).  The next edge starts at vertex (m+1)//2, opposite the
+    entry edge (the left of the two when m is odd); d starts at i and each
+    odd m-gon, sides[0] included, turns it by pi/m.  The turn and b carry
+    TwoSum's low parts, so no rounding grows along the walk.  No centre is
+    read: the centroids check the closed-form centre sums independently.
     """
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
+
+    def direction() -> complex:  # i*exp(i*pi*(turn + turn_low)), reduced by turn's nearest integer k
+        k = round(turn)
+        return (-1) ** k * cmath.exp(1j * math.pi * (turn - k)) * complex(-math.pi * turn_low, 1.0)
+
+    first, *rest = family.sides(n_max).tolist()
+    turn, turn_low = (1.0 / first if first % 2 else 0.0), 0.0
+    start, low = direction() * complex(-0.5, 0.5 / math.tan(math.pi / first) if first > 2 else 0.0), 0j
     chain = []
-    start, direction = -0.5j, 1j
-    for m in range(3, n_max + 1):
-        vertices = start + np.cumsum(direction * np.exp(2j * np.pi * np.arange(m) / m))
-        chain.append(vertices)
-        start = vertices[(m + 1) // 2]
+    for m in rest:
+        offsets = low + np.cumsum(direction() * np.exp(2j * np.pi * np.arange(m) / m))
+        chain.append(start + offsets)
+        start, low = _two_sum(start, complex(offsets[(m + 1) // 2]))
         if m % 2:
-            direction *= cmath.exp(1j * math.pi / m)
+            turn, turn_low = _two_sum(turn, turn_low + 1.0 / m)
     return chain
-
-
-def _is_convex_cyclic(vertices: np.ndarray) -> bool:
-    v = vertices
-    nxt = np.roll(v, -1)
-    edges = nxt - v
-    cross = np.imag(np.conj(edges) * np.roll(edges, -1))
-    return bool(np.all(cross > 0.0))
 
 
 EDGE_TOL = 1e-9
 
 
-def validate_chain(chain: list[np.ndarray]) -> list[Violation]:
+def validate_chain(chain: list[np.ndarray], family: Family) -> list[Violation]:
     """Check unit edges, shared edges, convexity, centroid agreement.
 
-    chain[i] must hold the vertices of the (i+3)-gon, as build_chain returns
-    them.  Violations are returned as data; an empty list means the chain
-    satisfies every invariant.
+    chain must hold the family's polygons from first_index on, as
+    build_chain returns them.  Violations are returned as data; an empty
+    list means the chain satisfies every invariant.
     """
     if not chain:
         raise ValueError("chain is empty")
     report: list[Violation] = []
-    expected = centers_all(len(chain) + 2)
+    expected = centers(family, family.first_index + len(chain) - 1)
+    polygons = zip(chain, family.sides(expected.last_index)[1:].tolist(), expected.centers.tolist())
 
-    for idx, vertices in enumerate(chain):
-        sides = idx + 3
+    for idx, (vertices, sides, center) in enumerate(polygons):
         if len(vertices) != sides:
             report.append(Violation(sides, "vertex-count", float(len(vertices))))
             continue
-        edge_lengths = np.abs(np.roll(vertices, -1) - vertices)
-        worst = float(np.max(np.abs(edge_lengths - 1.0)))
+        edges = np.roll(vertices, -1) - vertices
+        worst = float(np.max(np.abs(np.abs(edges) - 1.0)))
         if worst > EDGE_TOL:
             report.append(Violation(sides, "unit-edge", worst))
-        if not _is_convex_cyclic(vertices):
+        if not np.all(np.imag(np.conj(edges) * np.roll(edges, -1)) > 0.0):
             report.append(Violation(sides, "convexity", math.nan))
-        centroid_err = abs(complex(vertices.mean()) - expected.center(sides))
+        centroid_err = abs(complex(vertices.mean()) - center)
         if centroid_err > EDGE_TOL:
             report.append(Violation(sides, "centroid", centroid_err))
         if idx + 1 < len(chain):

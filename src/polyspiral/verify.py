@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics as asym
-from .geometry import Family, centers_all, centers_odd, compensated_cumsum
+from .geometry import Family, centers, compensated_cumsum
 from .metrics import FRAMES, NORMALIZATION, NORMALIZATION_MODULUS
 from .spiral import offset_distance_profile
 
@@ -176,8 +176,8 @@ def suite_approximant() -> list[CheckResult]:
     """In each family's fixed frame, centre residuals from the approximant decay like 1/n (approximant units)."""
     ns = np.arange(500, 1001)
     results = []
-    for family, centers in ((Family.ALL_POLYGONS, centers_all), (Family.ODD_POLYGONS, centers_odd)):
-        w = FRAMES[family].to_spiral(centers(1000).slice(500, 1000))
+    for family in Family:
+        w = FRAMES[family].to_spiral(centers(family, 1000).slice(500, 1000))
         residual = np.abs(w * NORMALIZATION - asym.approximant(ns, family))
         worst = float((ns * residual).max())
         detail = f"max n*residual {worst:.3e} on window (500, 1000), bound 50.0"

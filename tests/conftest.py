@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyspiral.geometry import Family, centers_all, centers_odd
+from polyspiral.geometry import Family, centers
 from polyspiral.metrics import (
     FRAMES,
     distance_table,
@@ -13,12 +13,12 @@ from polyspiral.metrics import (
 
 @pytest.fixture(scope="session")
 def p_seq():
-    return centers_all(2000)
+    return centers(Family.ALL_POLYGONS, 2000)
 
 
 @pytest.fixture(scope="session")
 def q_seq():
-    return centers_odd(2000)
+    return centers(Family.ODD_POLYGONS, 2000)
 
 
 @pytest.fixture(scope="session")

@@ -24,20 +24,21 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_seed_exactness():
-    seed = geo.centers_all(3).center(3)
+    seed = geo.centers(geo.Family.ALL_POLYGONS, 3).center(3)
     err = abs(seed - complex(-math.sqrt(3.0) / 6.0, 0.0))
     _report("01-seed-exactness", err <= 1e-12, f"|P3 + sqrt(3)/6| = {err:.3e} (tol 1e-12)")
 
 
-def test_criterion_02_vertex_oracle_equivalence():
+@pytest.mark.parametrize("family", geo.Family)
+def test_criterion_02_vertex_oracle_equivalence(family):
     start = time.perf_counter()
-    chain = geo.build_chain(200)
-    seq = geo.centers_all(200)
-    worst = max(abs(complex(p.mean()) - seq.center(len(p))) for p in chain)
-    violations = geo.validate_chain(chain)
+    chain = geo.build_chain(family, 200)
+    seq = geo.centers(family, 200)
+    worst = max(abs(complex(p.mean()) - c) for p, c in zip(chain, seq.centers))
+    violations = geo.validate_chain(chain, family)
     elapsed = time.perf_counter() - start
     _report(
-        "02-vertex-oracle-equivalence",
+        f"02-vertex-oracle-equivalence-{family.value}",
         worst <= 1e-9 and not violations,
         f"max centroid error {worst:.3e} (tol 1e-9), {len(violations)} violations, {elapsed:.2f}s",
     )
@@ -45,7 +46,7 @@ def test_criterion_02_vertex_oracle_equivalence():
 
 def test_criterion_03_turning_structure():
     # steps leaving the 2-gon (centred at 0) through the 10000-gon; the k-gon turns them by pi/k if k is odd
-    steps = np.diff(geo.centers_all(10_001).centers, prepend=0.0)
+    steps = np.diff(geo.centers(geo.Family.ALL_POLYGONS, 10_001).centers, prepend=0.0)
     k = np.arange(3, 10_001)
     expected = np.where(k % 2 == 1, np.pi / k, 0.0)
     worst = float(np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)))

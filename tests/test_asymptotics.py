@@ -215,7 +215,8 @@ class TestApproximant:
         # and by 5.7e-4 with the all-family shift t = n - 1/2
         ns = np.arange(500, 1001)
         b = asym.approximant(ns, Family.ODD_POLYGONS)
-        ratios = np.diff(2.0 * math.pi * asym.UNIT_COEFF * geo.centers_odd(1000).slice(500, 1000)) / np.diff(b)
+        centers = geo.centers(Family.ODD_POLYGONS, 1000).slice(500, 1000)
+        ratios = np.diff(2.0 * math.pi * asym.UNIT_COEFF * centers) / np.diff(b)
         assert float(np.abs(ratios - ratios.mean()).max()) < 1e-8
 
     def test_leading_term_dominates(self):

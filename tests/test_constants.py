@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 from polyspiral import metrics as mt
 from polyspiral.asymptotics import APPROXIMANTS
 from polyspiral.cli import main
-from polyspiral.geometry import Family, centers_all, centers_odd
+from polyspiral.geometry import Family, centers
 
 #: Every fifth index of this window feeds the translation fit (both parities, ~1 s per family).
 WINDOW, STRIDE = (2500, 5000), 5
@@ -118,17 +118,17 @@ class TestLiterals:
         assert abs(mt.GROWTH_RATE_ERROR - float(error)) <= math.ulp(float(error)), f"use {float(error)!r}"
 
     def test_exact_centers_match_geometry(self):
-        for family, build in ((Family.ALL_POLYGONS, centers_all), (Family.ODD_POLYGONS, centers_odd)):
-            lo = build(3).first_index
+        for family in Family:
+            lo = family.first_index
             exact = exact_centers(family, lo, 300)
-            built = build(300).slice(lo, 300)
+            built = centers(family, 300).slice(lo, 300)
             assert max(abs(complex(a) - b) / abs(b) for a, b in zip(exact, built)) < 1e-15
 
 
 class TestFitCrossCheck:
-    @pytest.mark.parametrize("family, build", [(Family.ALL_POLYGONS, centers_all), (Family.ODD_POLYGONS, centers_odd)])
-    def test_fit_recovers_closed_rotation(self, family, build):
-        motion, _ = mt.fit_motion_to_approximant(build(50_000), (25_000, 50_000))
+    @pytest.mark.parametrize("family", Family, ids=lambda family: f"{family}-centers_{family.value}")
+    def test_fit_recovers_closed_rotation(self, family):
+        motion, _ = mt.fit_motion_to_approximant(centers(family, 50_000), (25_000, 50_000))
         with mp.workdps(30):
             phi = float(rotation(family))
         assert abs(motion.rotation - phi) < 2e-13

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyspiral import geometry as geo
+from polyspiral.geometry import Family
 
 SQRT3 = math.sqrt(3.0)
 
@@ -30,7 +31,7 @@ def partial_sums(n, alternating=False):
 
 def steps_all(n_max):
     """Centre steps leaving the 2-gon (centred at 0) through the (n_max-1)-gon."""
-    return np.diff(geo.centers_all(n_max).centers, prepend=0.0)
+    return np.diff(geo.centers(Family.ALL_POLYGONS, n_max).centers, prepend=0.0)
 
 
 def phase_error(step, angle):
@@ -98,7 +99,7 @@ def oracle_centers(family, indices, dps=30):
     """Centres at the given indices from a dps-digit mpmath running sum."""
     with mpmath.workdps(dps):
         pi, total, out = mpmath.pi, mpmath.mpc(0), {}
-        if family is geo.Family.ALL_POLYGONS:
+        if family is Family.ALL_POLYGONS:
             # c_n = sum over k < n of (cot(pi/k) + cot(pi/(k+1)))/2 * exp(i pi sum_{odd j <= k} 1/j)
             odd_sum, half_cot = mpmath.mpf(0), mpmath.mpf(0)
             for k in range(2, max(indices)):
@@ -126,11 +127,11 @@ def oracle_centers(family, indices, dps=30):
 
 
 class TestCentersOracle:
-    @pytest.mark.parametrize("build", [geo.centers_all, geo.centers_odd])
-    def test_relative_error_within_four_eps(self, build):
+    @pytest.mark.parametrize("family", Family, ids=lambda family: f"centers_{family.value}")
+    def test_relative_error_within_four_eps(self, family):
         indices = (100, 1000, 3000)
-        seq = build(max(indices))
-        reference = oracle_centers(seq.family, indices)
+        seq = geo.centers(family, max(indices))
+        reference = oracle_centers(family, indices)
         for n in indices:
             err = abs(mpmath.mpc(seq.center(n)) - reference[n]) / abs(reference[n])
             assert err <= 4 * np.finfo(float).eps, (n, float(err))
@@ -176,24 +177,24 @@ class TestSteps:
 
 class TestCenterSequences:
     def test_seed_center(self):
-        seq = geo.centers_all(3)
+        seq = geo.centers(Family.ALL_POLYGONS, 3)
         assert abs(seq.center(3) - complex(-SQRT3 / 6.0, 0.0)) < 1e-12
 
     def test_fourth_center_vs_oracle(self):
         # P_3 + step * exp(i 4 pi / 3), evaluated at 50-digit precision
-        seq = geo.centers_all(4)
+        seq = geo.centers(Family.ALL_POLYGONS, 4)
         assert abs(seq.center(4) - complex(-0.68301270189221932, -0.68301270189221932)) < 1e-13
 
     def test_step_equals_magnitude_by_construction(self):
-        seq = geo.centers_all(4)
+        seq = geo.centers(Family.ALL_POLYGONS, 4)
         apothems = 0.5 / math.tan(math.pi / 3.0) + 0.5 / math.tan(math.pi / 4.0)
         assert abs(abs(seq.center(4) - seq.center(3)) - apothems) < 1e-12
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
-            geo.centers_all(2)
+            geo.centers(Family.ALL_POLYGONS, 2)
         with pytest.raises(ValueError):
-            geo.centers_odd(1)
+            geo.centers(Family.ODD_POLYGONS, 1)
 
     def test_step_magnitude_sweep(self, p_seq):
         diffs = np.abs(np.diff(p_seq.centers))
@@ -213,7 +214,7 @@ class TestCenterSequences:
         assert np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)) < 1e-12
 
     def test_odd_family_first_term(self):
-        seq = geo.centers_odd(2)
+        seq = geo.centers(Family.ODD_POLYGONS, 2)
         # magnitude (cot(pi/3) + cot(pi/5))/2 and angle pi (H_4 - H_2/2) = 4 pi/3
         assert abs(abs(seq.center(2)) - 0.97686609483039965) < 1e-13
         angle = exact_harmonic(4) - Fraction(1, 2) * exact_harmonic(2)
@@ -228,7 +229,7 @@ class TestCenterSequences:
         assert np.all(np.abs(diffs - expected) < tol)
 
     def test_slice_and_index_guards(self):
-        seq = geo.centers_all(10)
+        seq = geo.centers(Family.ALL_POLYGONS, 10)
         assert len(seq) == 8
         with pytest.raises(IndexError):
             seq.center(11)
@@ -238,15 +239,15 @@ class TestCenterSequences:
 
 class TestChain:
     def test_single_triangle(self):
-        chain = geo.build_chain(3)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 3)
         assert len(chain) == 1
         assert len(chain[0]) == 3
         assert abs(chain[0].mean() - complex(-SQRT3 / 6.0, 0.0)) < 1e-15
 
     def test_shared_edge_midpoint_matches_construction(self):
-        chain = geo.build_chain(5)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 5)
         assert len(chain) == 3
-        seq = geo.centers_all(5)
+        seq = geo.centers(Family.ALL_POLYGONS, 5)
         tri, square = chain[0], chain[1]
         dist = np.abs(tri[:, None] - square[None, :])
         pairs = np.argwhere(dist < 1e-9)
@@ -257,63 +258,84 @@ class TestChain:
         assert abs(midpoint - expected) < 1e-12
 
     def test_centroids_match_centers(self):
-        chain = geo.build_chain(50)
-        seq = geo.centers_all(50)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 50)
+        seq = geo.centers(Family.ALL_POLYGONS, 50)
         for poly in chain:
             assert abs(complex(poly.mean()) - seq.center(len(poly))) < 1e-9
 
-    def test_validation_catches_mirrored_centers(self, monkeypatch):
+    @pytest.mark.parametrize("family", Family)
+    def test_validation_catches_mirrored_centers(self, family, monkeypatch):
         # the chain is built from edges alone, so centres that bend the wrong way disagree with it
-        correct = geo.centers_all
+        correct = geo.centers
 
-        def mirrored(n_max):
-            seq = correct(n_max)
-            return geo.CenterSequence(seq.family, seq.first_index, seq.centers.conj())
+        def mirrored(family, n_max):
+            seq = correct(family, n_max)
+            return geo.CenterSequence(family, seq.centers.conj())
 
-        monkeypatch.setattr(geo, "centers_all", mirrored)
-        centroid = [v for v in geo.validate_chain(geo.build_chain(20)) if v.kind == "centroid"]
-        assert len(centroid) == 17  # every polygon but the triangle, whose centre is real
+        monkeypatch.setattr(geo, "centers", mirrored)
+        centroid = [v for v in geo.validate_chain(geo.build_chain(family, 20), family) if v.kind == "centroid"]
+        # every polygon but the all family's triangle, whose centre is real
+        assert len(centroid) == {Family.ALL_POLYGONS: 17, Family.ODD_POLYGONS: 19}[family]
 
-    def test_chain_reads_no_centre(self, monkeypatch):
+    @pytest.mark.parametrize("family", Family)
+    def test_right_hand_exit_edge_fails_validation(self, family):
+        # build_chain's walk, but leaving each odd polygon by the right of its two opposite edges
+        first, *rest = family.sides(20).tolist()
+        direction = 1j * cmath.exp(-1j * math.pi / first) if first % 2 else 1j
+        start = direction * complex(-0.5, 0.5 / math.tan(math.pi / first) if first > 2 else 0.0)
+        chain = []
+        for m in rest:
+            chain.append(start + np.cumsum(direction * np.exp(2j * np.pi * np.arange(m) / m)))
+            start = chain[-1][m // 2]
+            if m % 2:
+                direction *= cmath.exp(-1j * math.pi / m)
+        violations = geo.validate_chain(chain, family)
+        assert {v.kind for v in violations} == {"centroid"}
+        # every polygon but the all family's triangle, whose centre is real
+        assert len(violations) == {Family.ALL_POLYGONS: 17, Family.ODD_POLYGONS: 19}[family]
+
+    @pytest.mark.parametrize("family", Family)
+    def test_chain_reads_no_centre(self, family, monkeypatch):
         def no_centres(*args):
             raise AssertionError("build_chain read a centre")
 
-        for name in ("centers_all", "centers_odd", "_centers"):
+        for name in ("centers", "_centers"):
             monkeypatch.setattr(geo, name, no_centres)
-        assert len(geo.build_chain(50)) == 48
+        assert len(geo.build_chain(family, 50)) == 50 - family.first_index + 1
 
     def test_unit_edges(self):
-        chain = geo.build_chain(40)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 40)
         for poly in chain:
             lengths = np.abs(np.roll(poly, -1) - poly)
             assert np.max(np.abs(lengths - 1.0)) < 1e-9
 
     def test_validate_small_and_large(self):
-        assert geo.validate_chain(geo.build_chain(3)) == []
-        assert geo.validate_chain(geo.build_chain(100)) == []
+        assert geo.validate_chain(geo.build_chain(Family.ALL_POLYGONS, 3), Family.ALL_POLYGONS) == []
+        assert geo.validate_chain(geo.build_chain(Family.ALL_POLYGONS, 100), Family.ALL_POLYGONS) == []
 
     def test_validate_flags_perturbation(self):
-        chain = geo.build_chain(10)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 10)
         chain[4][1] += 1e-3
-        kinds = {v.kind for v in geo.validate_chain(chain)}
+        kinds = {v.kind for v in geo.validate_chain(chain, Family.ALL_POLYGONS)}
         assert "unit-edge" in kinds
 
-    def test_validate_is_fast_at_two_thousand(self):
+    @pytest.mark.parametrize("family", Family)
+    def test_validate_is_fast_at_two_thousand(self, family):
         start = time.perf_counter()
-        assert geo.validate_chain(geo.build_chain(2000)) == []
+        assert geo.validate_chain(geo.build_chain(family, 2000), family) == []
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("vertex", [0, -1])
     def test_validate_flags_moved_shared_vertex(self, vertex):
-        chain = geo.build_chain(10)
+        chain = geo.build_chain(Family.ALL_POLYGONS, 10)
         chain[4][vertex] += 1e-3
-        flagged = {v.polygon for v in geo.validate_chain(chain) if v.kind == "shared-edge"}
+        flagged = {v.polygon for v in geo.validate_chain(chain, Family.ALL_POLYGONS) if v.kind == "shared-edge"}
         assert flagged == {len(chain[3])}
 
     def test_validate_rejects_empty(self):
         with pytest.raises(ValueError):
-            geo.validate_chain([])
+            geo.validate_chain([], Family.ALL_POLYGONS)
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
-            geo.build_chain(2)
+            geo.build_chain(Family.ALL_POLYGONS, 2)

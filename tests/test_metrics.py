@@ -56,25 +56,25 @@ class TestNormalization:
             assert mt.RigidMotion(PHI[family], 0.0).frame().K == pytest.approx(frame.K, abs=1e-15)
 
 
-def _synthetic_sequence(first, count, phi, c, noise=None):
-    ns = np.arange(first, first + count)
+def _synthetic_sequence(n_max, phi, c, noise=None):
+    ns = np.arange(Family.ALL_POLYGONS.first_index, n_max + 1)
     b = approximant(ns, Family.ALL_POLYGONS)
     a = np.exp(1j * phi) * b + c
     if noise is not None:
         a = a + noise(ns)
-    return CenterSequence(Family.ALL_POLYGONS, first, a / mt.APPROXIMANT_SCALE)
+    return CenterSequence(Family.ALL_POLYGONS, a / mt.APPROXIMANT_SCALE)
 
 
 class TestApproximantFit:
     def test_exact_model_recovery(self):
-        seq = _synthetic_sequence(500, 501, 0.7, 3.0 - 2.0j)
+        seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j)
         motion, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
         assert motion.rotation == pytest.approx(0.7, abs=1e-10)
         assert abs(motion.translation - (3.0 - 2.0j)) < 1e-10
 
     def test_noisy_recovery(self):
         noise = lambda ns: np.exp(1j * 0.4) / ns
-        seq = _synthetic_sequence(500, 501, 0.7, 3.0 - 2.0j, noise=noise)
+        seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j, noise=noise)
         motion, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
         assert abs(motion.rotation - 0.7) < 5.0 / 501.0
 
@@ -98,18 +98,18 @@ class TestApproximantFit:
 
     def test_index_drift_fails(self, p_seq):
         # shifting centres by one index breaks parity alignment
-        shifted = CenterSequence(Family.ALL_POLYGONS, 3, p_seq.centers[1:])
+        shifted = CenterSequence(Family.ALL_POLYGONS, p_seq.centers[1:])
         with pytest.raises(mt.FitError):
             mt.fit_motion_to_approximant(shifted, (500, 1000))
 
 
 class TestSpiralFit:
     def test_synthetic_points_on_spiral(self):
-        ns = np.arange(300, 500)
+        ns = np.arange(Family.ALL_POLYGONS.first_index, 500)
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
         w = mt.TARGET_SPIRAL.point(theta)
         phi0, c0 = 1.234, 3.5 - 2.25j
-        seq = CenterSequence(Family.ALL_POLYGONS, 300, mt.RigidMotion(phi0, c0).frame().from_spiral(w))
+        seq = CenterSequence(Family.ALL_POLYGONS, mt.RigidMotion(phi0, c0).frame().from_spiral(w))
         init = mt.RigidMotion(phi0 + 1e-4, c0 + 1e-4 - 1e-4j)
         motion, diag = mt.fit_motion_to_spiral(seq, (300, 499), init=init)
         assert diag.objective <= 1e-10
@@ -224,8 +224,8 @@ class TestInnerSide:
         n = np.arange(50)
 
         def fraction(points):
-            seq = CenterSequence(Family.ALL_POLYGONS, 0, points)
-            table = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), 49)
+            seq = CenterSequence(Family.ALL_POLYGONS, points)
+            table = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), seq.last_index)
             np.testing.assert_allclose(np.abs(table.distance), 0.1, rtol=1e-6)
             return mt.inner_side_fraction(table)
 
@@ -263,7 +263,7 @@ class TestOddFamilyPipeline:
         assert diag.residual_slope < -0.9
 
     def test_index_drift_fails(self, q_seq):
-        shifted = CenterSequence(Family.ODD_POLYGONS, 2, q_seq.centers[1:])
+        shifted = CenterSequence(Family.ODD_POLYGONS, q_seq.centers[1:])
         with pytest.raises(mt.FitError):
             mt.fit_motion_to_approximant(shifted, (500, 1000))
 

@@ -99,7 +99,7 @@ class TestRecordFormatter:
         assert cli._fmt(-1e-300) == "-1e-300"
 
     def test_non_finite_centres_never_reach_the_writer(self, tmp_path, monkeypatch):
-        bad = CenterSequence(Family.ALL_POLYGONS, 3, np.array([1.0, math.inf, 2.0], dtype=complex))
+        bad = CenterSequence(Family.ALL_POLYGONS, np.array([1.0, math.inf, 2.0], dtype=complex))
         monkeypatch.setattr(cli, "_sequence", lambda args: bad)
         target = tmp_path / "c.json"
         with pytest.raises(AssertionError):
@@ -181,9 +181,9 @@ def test_distance_table_is_identical_at_every_cpu_count(tmp_path):
     n_max = 2 * BLOCK + 1 + 2
     code = (
         "import sys, numpy as np\n"
-        "from polyspiral.geometry import Family, centers_all\n"
+        "from polyspiral.geometry import Family, centers\n"
         "from polyspiral.metrics import FRAMES, distance_table\n"
-        f"t = distance_table(centers_all({n_max}), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
+        f"t = distance_table(centers(Family.ALL_POLYGONS, {n_max}), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
         "np.savez(sys.argv[1], n=t.n, distance=t.distance, theta=t.theta)\n"
     )
     tables = []

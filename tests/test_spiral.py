@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyspiral import spiral as sp
-from polyspiral.geometry import Family, centers_all
+from polyspiral.geometry import Family, centers
 from polyspiral.metrics import FRAMES
 from polyspiral.spiral import BLOCK
 
@@ -226,7 +226,7 @@ class TestNearPath:
         # The reference polishes each returned angle by two Newton steps in long double
         # from the same float64 point.  Taking the smaller of two float64 evaluations of
         # one minimum biases this mean by -4.9e-6 (33 standard errors); one start, -4.5e-7.
-        w = FRAMES[Family.ALL_POLYGONS].to_spiral(centers_all(1_000_000).slice(800_000, 1_000_000))
+        w = FRAMES[Family.ALL_POLYGONS].to_spiral(centers(Family.ALL_POLYGONS, 1_000_000).slice(800_000, 1_000_000))
         d, theta = sp.nearest_distances(BASE, w)
         z, t = w.astype(np.clongdouble), theta.astype(np.longdouble)
         rate = np.longdouble(BETA) + 1j
