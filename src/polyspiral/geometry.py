@@ -136,6 +136,16 @@ def centers(family: Family, n_max: int) -> CenterSequence:
     return CenterSequence(family, _centers(family.sides(n_max)))
 
 
+def centers_all(n_max: int) -> CenterSequence:
+    """centers(Family.ALL_POLYGONS, n_max), under the name the CLI calls and perfbench times."""
+    return centers(Family.ALL_POLYGONS, n_max)
+
+
+def centers_odd(n_max: int) -> CenterSequence:
+    """centers(Family.ODD_POLYGONS, n_max), under the name the CLI calls and perfbench times."""
+    return centers(Family.ODD_POLYGONS, n_max)
+
+
 def _two_sum(a, b):
     """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum, per component)."""
     s = a + b
@@ -174,6 +184,14 @@ def build_chain(family: Family, n_max: int) -> list[np.ndarray]:
     return chain
 
 
+def _is_convex_cyclic(vertices: np.ndarray) -> bool:
+    v = vertices
+    nxt = np.roll(v, -1)
+    edges = nxt - v
+    cross = np.imag(np.conj(edges) * np.roll(edges, -1))
+    return bool(np.all(cross > 0.0))
+
+
 EDGE_TOL = 1e-9
 
 
@@ -194,11 +212,11 @@ def validate_chain(chain: list[np.ndarray], family: Family) -> list[Violation]:
         if len(vertices) != sides:
             report.append(Violation(sides, "vertex-count", float(len(vertices))))
             continue
-        edges = np.roll(vertices, -1) - vertices
-        worst = float(np.max(np.abs(np.abs(edges) - 1.0)))
+        edge_lengths = np.abs(np.roll(vertices, -1) - vertices)
+        worst = float(np.max(np.abs(edge_lengths - 1.0)))
         if worst > EDGE_TOL:
             report.append(Violation(sides, "unit-edge", worst))
-        if not np.all(np.imag(np.conj(edges) * np.roll(edges, -1)) > 0.0):
+        if not _is_convex_cyclic(vertices):
             report.append(Violation(sides, "convexity", math.nan))
         centroid_err = abs(complex(vertices.mean()) - center)
         if centroid_err > EDGE_TOL:

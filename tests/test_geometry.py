@@ -299,7 +299,7 @@ class TestChain:
         def no_centres(*args):
             raise AssertionError("build_chain read a centre")
 
-        for name in ("centers", "_centers"):
+        for name in ("centers", "centers_all", "centers_odd", "_centers"):
             monkeypatch.setattr(geo, name, no_centres)
         assert len(geo.build_chain(family, 50)) == 50 - family.first_index + 1
 
