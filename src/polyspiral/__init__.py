@@ -15,8 +15,6 @@ from .asymptotics import (
     Approximant,
     B1,
     B3,
-    BernoulliPoly,
-    EmOrder,
     Parity,
     alt_harmonic_expansion,
     approximant,
@@ -61,11 +59,9 @@ __all__ = [
     "Approximant",
     "B1",
     "B3",
-    "BernoulliPoly",
     "CenterSequence",
     "DistanceTable",
     "EULER_GAMMA",
-    "EmOrder",
     "FRAMES",
     "Family",
     "FitError",

@@ -1,16 +1,16 @@
 """Expansion machinery behind the centre sequence's spiral limit.
 
-Harmonic-sum expansions, Euler-Maclaurin corrections at orders 1 and 3,
-the three complex power sums with their closed asymptotic forms, the
-two-parameter asymptotic family the centres of both chains follow (one
-approximant table, APPROXIMANTS), the radial gap between a point and the
-spiral r = exp(4*theta/pi), and the limiting distances.
+Harmonic-sum expansions, Euler-Maclaurin corrections (order 1 from f',
+order 3 when f''' is given too), the three complex power sums with their
+closed asymptotic forms (p = 0 is the alternating sum), the two-parameter
+asymptotic family the centres of both chains follow (one approximant
+table, APPROXIMANTS), the radial gap between a point and the spiral
+r = exp(4*theta/pi), and the limiting distances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -35,22 +35,9 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class BernoulliPoly:
-    """Bernoulli polynomial with exact rational coefficients (ascending)."""
-
-    degree: int
-    coefficients: tuple[Fraction, ...]
-
-    def __call__(self, x):
-        result = 0.0
-        for c in reversed(self.coefficients):
-            result = result * x + float(c)
-        return result
-
-
-B1 = BernoulliPoly(1, (Fraction(-1, 2), Fraction(1)))
-B3 = BernoulliPoly(3, (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(1)))
+#: Bernoulli polynomials B_1 and B_3 (ascending coefficients, dyadic and so exact in float64).
+B1 = np.polynomial.Polynomial([-0.5, 1.0])
+B3 = np.polynomial.Polynomial([0.0, 0.5, -1.5, 1.0])
 
 
 class Approximant(NamedTuple):
@@ -76,36 +63,31 @@ APPROXIMANTS = MappingProxyType(
 )
 
 
-def _positive_index(n) -> np.ndarray:
+def _index(n, first: int = 1) -> np.ndarray:
     n = np.asarray(n)
-    if np.any(n < 1):
-        raise ValueError("n must be >= 1")
+    if np.any(n < first):
+        raise ValueError(f"n must be >= {first}")
     return n
 
 
 def detemple_bounds(n):
     """Strict two-sided bounds (lower, upper) on H_n - gamma - log(n + 1/2), for an index or index array n."""
-    t = _positive_index(n).astype(float)
+    t = _index(n).astype(float)
     return 1.0 / (24.0 * (t + 1.0) ** 2), 1.0 / (24.0 * t**2)
 
 
 def alt_harmonic_expansion(n):
     """Expansion of the alternating partial sum: log 2 -(-1)^n/(2n) + (-1)^n/(4n^2), for an index or index array n."""
-    n = _positive_index(n)
+    n = _index(n)
     sign = np.where(n % 2 == 1, -1.0, 1.0)
     t = n.astype(float)
     return math.log(2.0) - sign / (2.0 * t) + sign / (4.0 * t * t)
 
 
-class EmOrder(Enum):
-    ONE = 1
-    THREE = 3
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _periodized_integral(g: Callable[[np.ndarray], np.ndarray], bern: BernoulliPoly, m: int, n: int) -> complex:
+def _periodized_integral(g: Callable[[np.ndarray], np.ndarray], bern: np.polynomial.Polynomial, m: int, n: int) -> complex:
     """Integral of g(t) * B({t}) over [m, n], Gauss-Legendre per unit interval."""
     starts = np.arange(m, n, dtype=float)
     frac = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1)
@@ -116,86 +98,71 @@ def _periodized_integral(g: Callable[[np.ndarray], np.ndarray], bern: BernoulliP
 
 def em_sum_minus_integral(
     f: Callable[[np.ndarray], np.ndarray],
+    df: Callable[[np.ndarray], np.ndarray],
     m: int,
     n: int,
-    order: EmOrder = EmOrder.THREE,
-    df: Callable[[np.ndarray], np.ndarray] | None = None,
     d3f: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> complex:
     """Euler-Maclaurin value of sum_{i=m}^{n} f(i) - integral_m^n f.
 
-    Order ONE uses the endpoint average plus the B_1-weighted integral of
-    f'; order THREE adds (f'(n) - f'(m))/12 and the B_3-weighted integral
-    of f'''/6.  Callables must accept numpy arrays.
+    Without d3f this is order 1: the endpoint average plus the B_1-weighted
+    integral of f'.  With d3f it is order 3: the endpoint average plus
+    (f'(n) - f'(m))/12 and the B_3-weighted integral of f'''/6.  Callables
+    must accept numpy arrays.
     """
     if m >= n:
         raise ValueError("m must be < n")
-    if df is None:
-        raise ValueError("df is required")
     endpoint = 0.5 * (complex(f(float(m))) + complex(f(float(n))))
-    if order is EmOrder.ONE:
-        return endpoint + _periodized_integral(df, B1, m, n)
     if d3f is None:
-        raise ValueError("d3f is required at order THREE")
+        return endpoint + _periodized_integral(df, B1, m, n)
     gradient = (complex(df(float(n))) - complex(df(float(m)))) / 12.0
     return endpoint + gradient + _periodized_integral(d3f, B3, m, n) / 6.0
 
 
-def _validate_power_sum_args(p: int, n: int, alternating: bool) -> None:
+def power_sum_prefix(p: int, n_max: int) -> np.ndarray:
+    """sum_{k=2}^{n-1} (k + 1/2)^(p + i*pi/2) for every n = 3..n_max; at p = 0 term k carries the sign (-1)^k."""
     if p not in (-1, 0, 1):
         raise ValueError("p must be in {-1, 0, 1}")
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if alternating and p != 0:
-        raise ValueError("alternating sums only exist for p = 0")
-
-
-def power_sum_prefix(p: int, n_max: int, alternating: bool = False) -> np.ndarray:
-    """sum_{k=2}^{n-1} (+-1)^k (k + 1/2)^(p + i*pi/2) for every n = 3..n_max."""
-    _validate_power_sum_args(p, n_max, alternating)
-    k = np.arange(2, n_max, dtype=float)
+    k = np.arange(2, _index(n_max, 3))
     terms = np.exp((p + LOG_TWIST) * np.log(k + 0.5))
-    if alternating:
-        terms = terms * np.where(np.arange(2, n_max) % 2 == 0, 1.0, -1.0)
+    if p == 0:
+        terms = terms * np.where(k % 2 == 0, 1.0, -1.0)
     return np.cumsum(terms)
 
 
-def power_sum_closed(p: int, n, alternating: bool = False):
-    """Closed asymptotic form of the power sum (valid up to an additive constant).
+def power_sum_closed(p: int, n) -> np.ndarray:
+    """Closed asymptotic form of power_sum_prefix (up to an additive constant), for an index or index array n >= 3.
 
     p = 1: three descending powers of (n - 1/2); p = -1: the single
-    inverse-twist term; p = 0 (alternating only): the parity-flipping
-    half-magnitude term.  Accepts scalar or array n.
+    inverse-twist term; p = 0 (the alternating sum): the parity-flipping
+    half-magnitude term.
     """
-    if p == 0 and not alternating:
-        raise ValueError("no closed form for the non-alternating p = 0 sum")
-    if np.ndim(n) == 0:
-        _validate_power_sum_args(p, int(n), alternating)
-    t = np.asarray(n, dtype=float) - 0.5
+    n = _index(n, 3)
+    t = np.atleast_1d(n - 0.5)  # a scalar n takes the array path too, and is reshaped back below
     tw = np.exp(LOG_TWIST * np.log(t))
     if p == 1:
         value = t**2 * tw / (2.0 + LOG_TWIST) + 0.5 * t * tw + (1.0 + LOG_TWIST) / 12.0 * tw
     elif p == -1:
         value = tw / LOG_TWIST
+    elif p == 0:
+        value = -0.5 * np.where(n % 2 == 0, 1.0, -1.0) * tw
     else:
-        sign = np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
-        value = -0.5 * sign * tw
-    return complex(value) if np.ndim(n) == 0 else value
+        raise ValueError("p must be in {-1, 0, 1}")
+    return value.reshape(n.shape)
 
 
-def asymptotic_form(t: float, a: float, b: float) -> complex:
+def asymptotic_form(t, a, b) -> np.ndarray:
     """The two-parameter family t^(2+ipi/2) + (1+ipi/4)(t^(1+ipi/2) + (a+b*ipi/4) t^(ipi/2)).
 
     Defined for t > 0 via the real logarithm; the centre approximants are
     a = 1/4 members of it (see APPROXIMANTS).
     """
-    if np.any(np.asarray(t) <= 0.0):
+    shape = np.broadcast_shapes(np.shape(t), np.shape(a), np.shape(b))
+    t = np.atleast_1d(np.asarray(t, dtype=float))  # a scalar t takes the array path too, and is reshaped back below
+    if np.any(t <= 0.0):
         raise ValueError("t must be > 0")
-    t = np.asarray(t, dtype=float)
-    logt = np.log(t)
-    tw = np.exp(LOG_TWIST * logt)
-    value = t**2 * tw + UNIT_COEFF * (t * tw + (a + 0.25j * math.pi * b) * tw)
-    return complex(value) if value.ndim == 0 else value
+    tw = np.exp(LOG_TWIST * np.log(t))
+    return (t**2 * tw + UNIT_COEFF * (t * tw + (a + 0.25j * math.pi * b) * tw)).reshape(shape)
 
 
 def approximant(n, family: Family):

@@ -78,7 +78,7 @@ def test_criterion_07_power_sum_closed_forms():
             prefix[ns - 3] - asym.power_sum_closed(p, ns)
         )
         worst_c = max(worst_c, float((ns * np.abs(diff)).max()))
-    mods = np.abs(asym.power_sum_closed(0, np.arange(3, 5001), alternating=True))
+    mods = np.abs(asym.power_sum_closed(0, np.arange(3, 5001)))
     mod_err = float(np.abs(mods - 0.5).max())
     _report(
         "07-power-sum-closed-forms",

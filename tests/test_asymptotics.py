@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,10 +48,23 @@ class TestHarmonicExpansions:
         with pytest.raises(ValueError):
             func(np.array([3, 0, 5]))
 
-    @pytest.mark.parametrize("func", [asym.detemple_bounds, asym.alt_harmonic_expansion])
-    def test_arrays_match_scalars(self, func):
+    @pytest.mark.parametrize(
+        "func, first",
+        [
+            (asym.detemple_bounds, 1),
+            (asym.alt_harmonic_expansion, 1),
+            (lambda t: asym.asymptotic_form(t, 0.25, 43.0 / 6.0), 1),
+            *((partial(asym.power_sum_closed, p), 3) for p in (-1, 0, 1)),
+            *((lambda n, family=family: asym.approximant(n, family), 1) for family in Family),
+        ],
+        ids=[
+            "detemple_bounds", "alt_harmonic_expansion", "asymptotic_form", "power_sum_closed_p-1",
+            "power_sum_closed_p0", "power_sum_closed_p1", "approximant_all", "approximant_odd",
+        ],
+    )
+    def test_arrays_match_scalars(self, func, first):
         # parity comes from the integer index, so odd and even entries of one array differ in sign
-        ns = np.arange(1, 40)
+        ns = np.arange(first, first + 39)
         vectorized = np.asarray(func(ns))
         for i, n in enumerate(ns):
             np.testing.assert_array_equal(vectorized[..., i], func(int(n)))
@@ -60,7 +74,7 @@ class TestBernoulli:
     def test_unit_interval_integrals_vanish(self):
         # the periodic Bernoulli functions in the Euler-Maclaurin remainders have mean zero
         for bern in (asym.B1, asym.B3):
-            assert sum(c / (k + 1) for k, c in enumerate(bern.coefficients)) == 0
+            assert bern.integ()(1.0) - bern.integ()(0.0) == 0
 
     def test_cubic_endpoint_roots(self):
         assert asym.B3(0.0) == 0.0
@@ -81,12 +95,12 @@ def _poly_callables(c0, c1, c2, c3):
 class TestEulerMaclaurin:
     def test_constant_function(self):
         f, df, _ = _poly_callables(1.0, 0.0, 0.0, 0.0)
-        value = asym.em_sum_minus_integral(f, 0, 5, asym.EmOrder.ONE, df=df)
+        value = asym.em_sum_minus_integral(f, df, 0, 5)
         assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_square_on_unit_interval(self):
         f, df, d3f = _poly_callables(0.0, 0.0, 1.0, 0.0)
-        value = asym.em_sum_minus_integral(f, 0, 1, asym.EmOrder.THREE, df=df, d3f=d3f)
+        value = asym.em_sum_minus_integral(f, df, 0, 1, d3f)
         # S = 1, I = 1/3: endpoint average 1/2 plus gradient term 1/6
         assert value == pytest.approx(2.0 / 3.0, abs=1e-14)
 
@@ -100,14 +114,14 @@ class TestEulerMaclaurin:
         f, df, d3f = _poly_callables(c0, c1, c2, c3)
         direct = sum(f(float(i)) for i in range(m, n + 1))
         direct -= sum(c * (n ** (k + 1) - m ** (k + 1)) / (k + 1) for k, c in enumerate((c0, c1, c2, c3)))
-        value = asym.em_sum_minus_integral(f, m, n, asym.EmOrder.THREE, df=df, d3f=d3f)
+        value = asym.em_sum_minus_integral(f, df, m, n, d3f)
         assert value == pytest.approx(direct, abs=1e-11)
 
     def test_linear_exactness_order_one(self):
         f, df, _ = _poly_callables(0.5, -2.0, 0.0, 0.0)
         direct = sum(f(float(i)) for i in range(2, 9)) - (0.5 * (8 - 2) - 1.0 * (64 - 4))
         assert direct == -9.5
-        value = asym.em_sum_minus_integral(f, 2, 8, asym.EmOrder.ONE, df=df)
+        value = asym.em_sum_minus_integral(f, df, 2, 8)
         assert value == pytest.approx(direct, abs=1e-12)
 
     def test_complex_power_vs_direct_oracle(self):
@@ -117,19 +131,17 @@ class TestEulerMaclaurin:
         d3f = lambda t: q * (q - 1) * (q - 2) * np.exp((q - 3) * np.log(np.asarray(t, float) + 0.5))
         # direct summation minus exact antiderivative difference, 50-digit oracle
         oracle = complex(29.45931523960457598836964, 41.53949022852972519678096)
-        value = asym.em_sum_minus_integral(f, 2, 99, asym.EmOrder.THREE, df=df, d3f=d3f)
+        value = asym.em_sum_minus_integral(f, df, 2, 99, d3f)
         assert abs(value - oracle) < 1e-10
-        value_one = asym.em_sum_minus_integral(f, 2, 99, asym.EmOrder.ONE, df=df)
+        value_one = asym.em_sum_minus_integral(f, df, 2, 99)
         assert abs(value_one - oracle) < 1e-10
 
     def test_rejects_bad_range_and_missing_derivatives(self):
         f, df, _ = _poly_callables(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            asym.em_sum_minus_integral(f, 5, 5, asym.EmOrder.ONE, df=df)
-        with pytest.raises(ValueError):
-            asym.em_sum_minus_integral(f, 0, 5, asym.EmOrder.ONE)
-        with pytest.raises(ValueError):
-            asym.em_sum_minus_integral(f, 0, 5, asym.EmOrder.THREE, df=df)
+            asym.em_sum_minus_integral(f, df, 5, 5)
+        with pytest.raises(TypeError):
+            asym.em_sum_minus_integral(f, m=0, n=5)
 
 
 class TestPowerSums:
@@ -143,27 +155,32 @@ class TestPowerSums:
 
     def test_alternating_two_terms(self):
         # signs (+, -) for k = 2, 3
-        assert asym.power_sum_prefix(0, 4, alternating=True)[4 - 3] == pytest.approx(
+        assert asym.power_sum_prefix(0, 4)[4 - 3] == pytest.approx(
             complex(0.5178011434198642, 0.0691576433474505), abs=1e-14
         )
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
-            asym.power_sum_prefix(1, 10, alternating=True)
-        with pytest.raises(ValueError):
             asym.power_sum_prefix(2, 10)
         with pytest.raises(ValueError):
             asym.power_sum_prefix(1, 2)
         with pytest.raises(ValueError):
-            asym.power_sum_closed(0, 10, alternating=False)
+            asym.power_sum_closed(2, 10)
+
+    def test_closed_form_checks_every_index(self):
+        # an index array is checked entry by entry, as a scalar index is
+        for p in (-1, 0, 1):
+            for n in (2, np.array([1, 2]), np.array([0]), np.array([10, 2, 11])):
+                with pytest.raises(ValueError, match="n must be >= 3"):
+                    asym.power_sum_closed(p, n)
 
     def test_alternating_sum_stays_bounded(self):
-        prefix = asym.power_sum_prefix(0, 2000, alternating=True)
+        prefix = asym.power_sum_prefix(0, 2000)
         assert np.abs(prefix).max() <= 2.0
 
     def test_closed_alternating_modulus_is_half(self):
         for n in (10, 11, 1000, 1001):
-            assert abs(abs(asym.power_sum_closed(0, n, alternating=True)) - 0.5) < 1e-15
+            assert abs(abs(asym.power_sum_closed(0, n)) - 0.5) < 1e-15
 
     @pytest.mark.parametrize("p", [1, -1])
     def test_pair_differences_decay(self, p):

@@ -165,6 +165,15 @@ class TestFitAndDistances:
         assert out == "" and err.startswith("error: fit window")
         assert not out_file.exists()
 
+    def test_fit_failure_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # on 3:20 no rigid motion brings the all-family centres within the spiral route's objective bound
+        out_file = tmp_path / "fit.json"
+        code, out, err = run(capsys, "fit", "--n-max", "100", "--window", "3:20", "--route", "spiral", "--out", str(out_file))
+        assert code == 1
+        assert err.startswith("fit failure:")
+        assert out == ""
+        assert not out_file.exists()
+
     def test_odd_family_default_window_too_short(self, capsys):
         code, out, err = run(capsys, "fit", "--family", "odd", "--n-max", "2")
         assert code == 2
