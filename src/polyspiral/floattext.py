@@ -26,32 +26,42 @@ once in numpy, exactly:
   that would need k < 0.  NaN is written as a text the caller names.
 
 Text is laid out in 4-byte words, NUL where nothing is written.  A field
-is a list of word columns, each holding one index per row into
-``_words_table()``, whose digit groups come with their leading or
-trailing zeros blanked and a sign or decimal point beside them, plus
-patches that overwrite whole rows with text spelled by Python.  ``rows``
-gathers a block's words in one step and drops every NUL.
+is a list of word columns, one word per row each, plus patches that
+overwrite whole rows with text spelled by Python.  Every digit word comes
+from one table, ``_DIGITS``, of the four-digit words "0000".."9999": an
+integer part's groups are masked to their last digits, and a fraction's
+last nonzero group to its digits before the trailing zeros.  The sign and
+the decimal point are words of their own, NUL where they are not written.
+``rows`` lays a block's word columns side by side and drops every NUL.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-#: A field of a block: one index column into _words_table() per word, and (rows, words) patches replacing those rows.
-Field = tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]
+from .geometry import two_sum
+
+#: A field of a block: one word column per word (a uint32 per row, or one for all rows), and (rows, words)
+#: patches replacing those rows.
+Field = tuple[list, list[tuple[np.ndarray, np.ndarray]]]
 #: A row template item: literal text, or (column index, function from that column to a Field).
 Item = Union[str, tuple[int, Callable[[np.ndarray], Field]]]
 
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter of a binary64 into two 26-bit halves
 
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
 #: 10^k for k = 0..22, each an exact float, and each split into two halves.
 _POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+_POW10_HI, _POW10_LO = _split(_POW10)
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
 
@@ -66,65 +76,26 @@ def _ceil_pow10(j: int) -> float:
 _CEIL_POW10 = np.array([_ceil_pow10(j) for j in range(-4, 18)])
 
 
-#: The tables of _words_table, in order, and their sizes: one word per digit group g, 1000 for the
-#: three-digit groups after a decimal point.
-_TABLE_SIZES = dict(
-    digits=10**4, lead=10**4, neg_lead=10**4, nul=10**4, neg_nul=10**4, trail=10**4,
-    dot=1000, dot_trail=1000, dot_trail_repr=1000,
-)
-#: Where each table starts.
-_AT = dict(zip(_TABLE_SIZES, np.cumsum([0, *_TABLE_SIZES.values()]).tolist()))
+def _words(texts: Sequence[str]) -> np.ndarray:
+    """texts as rows of NUL-padded words."""
+    width = max(1, -(-max(map(len, texts)) // 4))
+    padded = np.array([t.encode("ascii") for t in texts], dtype=f"S{4 * width}")
+    return padded.view(np.uint32).reshape(len(texts), width)
 
 
-@functools.cache
-def _words_table() -> np.ndarray:
-    """Every word a fixed-point number is made of, as uint32; built on first use, so that
-    commands writing no rows never hold it.
-
-    The tables, by digit group g:
-    digits "0042"; lead "  42", for the group holding the first digit
-    ("   0" for 0); neg_lead " -42"; nul "    "; neg_nul "   -", before a
-    four-digit first group; trail "42  " for the last nonzero group of a
-    fraction ("    " for 0); dot ".042" and dot_trail ".042" with trailing
-    zeros blanked (nothing at all for 0, or ".0" in dot_trail_repr).
-    """
-    g = np.arange(10**4)
-    digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-    zero = [digits[:, j] == 48 for j in range(4)]
-    leading = np.zeros_like(digits, dtype=bool)  # the last digit always shows, so zero is written "0"
-    leading[:, 0] = zero[0]
-    for j in (1, 2):
-        leading[:, j] = leading[:, j - 1] & zero[j]
-    trailing = np.zeros_like(leading)
-    trailing[:, 3] = zero[3]
-    for j in (2, 1, 0):
-        trailing[:, j] = trailing[:, j + 1] & zero[j]
-    lead = np.where(leading, 0, digits)
-    neg_lead = lead.copy()
-    first = leading[:, 0].astype(int) + leading[:, 1] + leading[:, 2]  # bytes before the first digit
-    has_room = first > 0
-    neg_lead[g[has_room], first[has_room] - 1] = ord("-")
-    trail = np.where(trailing, 0, digits)
-    dot = digits[:1000].copy()
-    dot[:, 0] = ord(".")
-    dot_trail = trail[:1000].copy()
-    dot_trail[:, 0] = np.where(g[:1000] > 0, ord("."), 0)
-    dot_trail_repr = dot_trail.copy()
-    dot_trail_repr[0, :2] = (ord("."), ord("0"))
-    nul = np.zeros_like(digits)
-    neg_nul = nul.copy()
-    neg_nul[:, 3] = ord("-")
-    tables = [digits, lead, neg_lead, nul, neg_nul, trail, dot, dot_trail, dot_trail_repr]  # in _TABLE_SIZES order
-    return np.concatenate(tables).view(np.uint32)[:, 0]
+def _text_words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 4 bytes as words."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)[:, 0]
 
 
-#: The table of an integer-part word at 6*sign + 1 + r, r = the number's digits minus those right of the word,
-#: clipped to -1..4: r <= 0 blank (r = 0 holds the sign of a number whose first group has four digits),
-#: 1..3 lead, 4 full.
-_INTEGER_TABLE = np.array(
-    [_AT["nul"], _AT["nul"], _AT["lead"], _AT["lead"], _AT["lead"], _AT["digits"]]
-    + [_AT["nul"], _AT["neg_nul"], _AT["neg_lead"], _AT["neg_lead"], _AT["neg_lead"], _AT["digits"]]
-)
+_GROUPS = np.arange(10**4)[:, None]  # every four-digit group g, a column against its four digit places
+#: The word of each four-digit group g: "0042" for 42.
+_DIGITS = _text_words(48 + _GROUPS // np.array([1000, 100, 10, 1]) % 10)
+#: _SHOW_LAST[s] keeps a word's last s bytes: "  42" is _DIGITS[42] & _SHOW_LAST[2].
+_SHOW_LAST = _text_words(255 * (np.arange(4) >= 4 - np.arange(5)[:, None]))
+#: _TRAILING[g] keeps group g's digits up to its last nonzero one: "42  " is _DIGITS[4200] & _TRAILING[4200].
+_TRAILING = _text_words(255 * (_GROUPS % np.array([10**4, 1000, 100, 10]) != 0))
+_MINUS, _POINT, _POINT_ZERO = _words(["-", ".", ".0"])[:, 0]
 
 
 def _exponent(a: np.ndarray) -> np.ndarray:
@@ -135,12 +106,6 @@ def _exponent(a: np.ndarray) -> np.ndarray:
     """
     e = np.minimum(np.maximum(np.floor(np.log10(a)), -4), 16).astype(np.int64)
     return e - (a < _CEIL_POW10[e + 4]) + (a >= _CEIL_POW10[e + 5])
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
 
 
 def _round_scaled(a, a_hi, a_lo, k):
@@ -155,10 +120,7 @@ def _round_scaled(a, a_hi, a_lo, k):
     hi = a * _POW10[k]
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     f = np.floor(hi)
-    frac = hi - f
-    s = frac + lo
-    b = s - frac
-    err = (frac - (s - b)) + (lo - b)
+    s, err = two_sum(hi - f, lo)
     q = np.rint(s)
     u = s - q
     n = f.astype(np.int64) + q.astype(np.int64)
@@ -169,9 +131,7 @@ def _round_scaled(a, a_hi, a_lo, k):
 
 def _inside(w, err, h):
     """Whether |w + err| < h, exactly; |w + err| = h never occurs (see the module docstring)."""
-    t = w + err
-    b = t - w
-    t_err = (w - (t - b)) + (err - b)
+    t, t_err = two_sum(w, err)
     t_err = np.where(t < 0, -t_err, t_err)
     t = np.abs(t)
     return (t < h) | ((t == h) & (t_err < 0))
@@ -208,45 +168,36 @@ def _shortest_digits(a, e):
     return n, k, p
 
 
-def _integer_words(v, length, neg, width):
-    """Index columns of non-negative integers v of length digits, right-aligned in width words, "-" where neg."""
+def _integer_words(v, length):
+    """Word columns of non-negative integers v of length digits, right-aligned."""
     columns = []
-    sign = 6 * neg + 1
-    for j in range(width):
-        q = v // 10000
-        columns.append(_INTEGER_TABLE[np.minimum(np.maximum(length - 4 * j, -1), 4) + sign] + (v - q * 10000))
+    for j in range(-(-int(length.max(initial=1)) // 4)):
+        q = v // 10**4
+        columns.append(_DIGITS[v - q * 10**4] & _SHOW_LAST[np.clip(length - 4 * j, 0, 4)])
         v = q
     return columns[::-1]
 
 
 def _fraction_words(high, low, repr_style):
-    """Index columns of a fraction given as 23 digits high*10^12 + low, trailing zeros blank, "." first.
+    """Word columns of "." and a fraction given as 24 digits high*10^12 + low, trailing zeros blank.
 
     Only the columns up to the last nonzero digit of any row are
-    returned; repr keeps at least ".0".
+    returned; a zero fraction is written ".0" by repr and not at all by
+    .15g.
     """
     groups = []
     for v in (high, low):
         q = v // 10**4
         top = q // 10**4
         groups += [top, q - top * 10**4, v - q * 10**4]
-    width = 1 + max((j for j in range(1, 6) if groups[j].any()), default=0)
-    if not repr_style and width == 1 and not groups[0].any():
-        return []
+    width = max((j + 1 for j in range(6) if groups[j].any()), default=0)
     columns = []
     nonzero_right = np.zeros(len(high), bool)
-    for j in range(width - 1, -1, -1):
-        full, trail = ("dot", "dot_trail_repr" if repr_style else "dot_trail") if j == 0 else ("digits", "trail")
-        columns.append(np.where(nonzero_right, _AT[full], _AT[trail]) + groups[j])
-        nonzero_right |= groups[j] != 0
-    return columns[::-1]
-
-
-def _words(texts: Sequence[str]) -> np.ndarray:
-    """texts as rows of NUL-padded words."""
-    width = max(1, -(-max(map(len, texts)) // 4))
-    padded = np.array([t.encode("ascii") for t in texts], dtype=f"S{4 * width}")
-    return padded.view(np.uint32).reshape(len(texts), width)
+    for g in reversed(groups[:width]):
+        digits = _DIGITS[g]
+        columns.append(np.where(nonzero_right, digits, digits & _TRAILING[g]))
+        nonzero_right |= g != 0
+    return [np.where(nonzero_right, _POINT, _POINT_ZERO if repr_style else 0), *columns[::-1]]
 
 
 def _floats(x, repr_style: bool, nan: str) -> Field:
@@ -280,12 +231,11 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
     kc = np.minimum(k, 18)  # N < 10^17: past 18 fraction digits the integer part is 0
     integer = n // _POW10_INT[kc]
     fraction = n - integer * _POW10_INT[kc]
-    m = np.maximum(k - 11, 0)  # the fraction as 23 digits, in halves of 11 and 12
+    m = np.maximum(k - 12, 0)  # the fraction as 24 digits, in two halves of 12
     high = fraction // _POW10_INT[m]
     low = (fraction - high * _POW10_INT[m]) * _POW10_INT[12 - m]
-    high *= _POW10_INT[np.maximum(11 - k, 0)]
-    width = -(-int((length + neg).max(initial=1)) // 4)
-    columns = _integer_words(integer, length, neg.astype(np.int64), width) + _fraction_words(high, low, repr_style)
+    high *= _POW10_INT[np.maximum(12 - k, 0)]
+    columns = [np.where(neg, _MINUS, 0), *_integer_words(integer, length), *_fraction_words(high, low, repr_style)]
 
     patches = []
     if not every:
@@ -315,32 +265,31 @@ def integers(v: np.ndarray) -> Field:
     if len(v) and not (v.min() >= 0 and v.max() < 10**15):
         raise ValueError("integers spells 0 <= i < 10^15 only")
     length = _exponent(np.maximum(v, 1).astype(np.float64)) + 1
-    return _integer_words(v, length, 0, -(-int(length.max(initial=1)) // 4)), []
+    return _integer_words(v, length), []
 
 
 def words(texts: Sequence[str], index: np.ndarray) -> Field:
     """texts[i] for each i in index."""
-    return [], [(slice(None), _words(texts)[index])]
+    return list(_words(texts).T[:, index]), []
 
 
 def rows(template: Sequence[Item], columns: Sequence[np.ndarray]) -> str:
     """The template's text for each row of the equal-length columns, concatenated."""
     count = len(columns[0]) if columns else 0
-    index, patches = [], []
+    layout, patches = [], []
     for item in template:
-        start = len(index)
         if isinstance(item, str):
-            field_columns, field_patches = [], [(slice(None), _words([item]))]
+            field_words, field_patches = list(_words([item])[0]), []
         else:
             column, field = item
-            field_columns, field_patches = field(columns[column])
-        width = max([len(field_columns)] + [text.shape[1] for _, text in field_patches])
-        index += field_columns + [_AT["nul"]] * (width - len(field_columns))
-        patches += [(start, start + width, where, text) for where, text in field_patches]
-    gather = np.empty((len(index), count), np.intp)
-    for j, column in enumerate(index):
-        gather[j] = column
-    canvas = np.ascontiguousarray(_words_table()[gather].T)  # gathering by columns, then transposing, is faster
+            field_words, field_patches = field(columns[column])
+        width = max([len(field_words)] + [text.shape[1] for _, text in field_patches])
+        patches += [(len(layout), len(layout) + width, where, text) for where, text in field_patches]
+        layout += field_words + [0] * (width - len(field_words))
+    canvas = np.empty((len(layout), count), np.uint32)
+    for j, word in enumerate(layout):
+        canvas[j] = word
+    canvas = np.ascontiguousarray(canvas.T)  # filling by columns, then transposing, is faster
     for start, stop, where, text in patches:
         canvas[where, start : start + text.shape[1]] = text
         canvas[where, start + text.shape[1] : stop] = 0

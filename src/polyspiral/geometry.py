@@ -146,7 +146,7 @@ def centers_odd(n_max: int) -> CenterSequence:
     return centers(Family.ODD_POLYGONS, n_max)
 
 
-def _two_sum(a, b):
+def two_sum(a, b):
     """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum, per component)."""
     s = a + b
     z = s - a
@@ -178,9 +178,9 @@ def build_chain(family: Family, n_max: int) -> list[np.ndarray]:
     for m in rest:
         offsets = low + np.cumsum(direction() * np.exp(2j * np.pi * np.arange(m) / m))
         chain.append(start + offsets)
-        start, low = _two_sum(start, complex(offsets[(m + 1) // 2]))
+        start, low = two_sum(start, complex(offsets[(m + 1) // 2]))
         if m % 2:
-            turn, turn_low = _two_sum(turn, turn_low + 1.0 / m)
+            turn, turn_low = two_sum(turn, turn_low + 1.0 / m)
     return chain
 
 

@@ -168,17 +168,11 @@ def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: 
     sign = np.where(ns % 2 == 0, 1.0, -1.0)
     t = ns - 0.5
     tail = np.exp(0.5j * math.pi * np.log(t)) / t
-    cols = [1j * np.exp(1j * phi) * b, np.ones_like(a), sign * tail, tail]
-    design = np.zeros((2 * len(ns), 7))
-    rhs = np.concatenate([eps.real, eps.imag])
-    design[: len(ns), 0] = cols[0].real
-    design[len(ns) :, 0] = cols[0].imag
-    for i, col in enumerate(cols[1:], start=1):
-        design[: len(ns), 2 * i - 1] = col.real
-        design[len(ns) :, 2 * i - 1] = col.imag
-        design[: len(ns), 2 * i] = -col.imag
-        design[len(ns) :, 2 * i] = col.real
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    # the rotation, then the real and imaginary parts of each complex unknown: 1, the parity tail, the tail
+    unknowns = (np.ones_like(a), sign * tail, tail)
+    cols = np.column_stack([1j * np.exp(1j * phi) * b] + [u for col in unknowns for u in (col, 1j * col)])
+    design = np.concatenate([cols.real, cols.imag])
+    coef, *_ = np.linalg.lstsq(design, np.concatenate([eps.real, eps.imag]), rcond=None)
     return phi + float(coef[0]), c + complex(coef[1], coef[2])
 
 

@@ -189,11 +189,10 @@ def offset_distance_profile(beta: float, c: float, r_values) -> tuple[np.ndarray
     the offset curve lies inside).  Returns those distances and the flat
     prediction c / sqrt(1 + beta^2).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    spiral = LogSpiral(beta)
     if c < 0.0:
         raise ValueError("c must be >= 0")
     r = np.asarray(r_values, dtype=float)
     theta = np.log(r + c) / beta
-    d, _ = nearest_distances(LogSpiral(beta), r * (np.cos(theta) + 1j * np.sin(theta)))
+    d, _ = nearest_distances(spiral, r * (np.cos(theta) + 1j * np.sin(theta)))
     return d, c / math.sqrt(1.0 + beta * beta)

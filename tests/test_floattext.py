@@ -97,8 +97,9 @@ def test_nan_text_and_infinities():
 def test_integers_and_words():
     n = np.array([0, 7, 10, 9999, 10**4, 123456789012345, 10**15 - 1])
     assert floattext.rows(((0, floattext.integers), ","), (n,)) == "".join(f"{k}," for k in n.tolist())
-    text = floattext.rows(((0, lambda c: floattext.words(["even", "odd"], c % 2)), "|"), (n,))
-    assert text == "".join(("odd" if k % 2 else "even") + "|" for k in n.tolist())
+    for texts in (["even", "odd"], ["", "odd", "a longer label"]):  # the second mixes word widths
+        text = floattext.rows(((0, lambda c: floattext.words(texts, c % len(texts))), "|"), (n,))
+        assert text == "".join(texts[k % len(texts)] + "|" for k in n.tolist())
 
 
 def test_fields_and_literals_interleave():
