@@ -4,35 +4,38 @@ Spelling one float costs Python about a microsecond, and the CLI writes
 tables of a million rows.  This module spells a whole block of floats at
 once in numpy, exactly:
 
-* x*10^k, with 0 <= k <= 22 so that 10^k is an exact float, is formed as
-  the exact pair hi + lo by Dekker's TwoProduct (1971) and rounded to the
-  nearest integer, ties to even, decided exactly by TwoSum.
-* ``.15g`` text comes from the 15-digit integer.
-* ``repr`` text comes from the smallest digit count p, searched downward
-  from 16 (17 digits always round-trip), whose correctly rounded p-digit
-  decimal lies in x's rounding interval, in the spirit of Adams' Ryu
-  (PLDI 2018).  Half an ulp times 10^k is exact.  Two shortest decimals
-  are never equally near x, so the correctly rounded one is the nearest,
-  as repr requires.  No candidate ever lies on the interval's boundary:
-  for x in [1e-4, 2^53) the boundary x +- ulp/2 is an odd multiple of a
-  negative power of two, with at least 17 significant digits, and in
-  [2^53, 1e16) it is an odd integer while the only candidate with k >= 0
-  is x itself.  So the rule of float(), that a boundary reads back as x
-  only when x's mantissa is even, never decides.
+* x*10^k, with k = 16 - floor(log10(x)) <= 20 so that 10^k is an exact
+  float, is formed as the exact pair hi + lo by Dekker's TwoProduct (1971),
+  and then as a 17-digit integer n plus a remainder r in [-1/2, 1/2].
+* ``.15g`` text comes from n + r rounded to a multiple of 100, ties to even.
+* ``repr`` text drops the most trailing digits j for which a multiple of
+  10^j lies in x's rounding interval, scaled by 10^k, as in Adams' Ryu
+  (PLDI 2018) and Giulietti's Schubfach (2020): the interval's ends are
+  floored once to int64, and floor division by 10 strips a digit from both
+  until no row of the block has a multiple left between them.  Two shortest
+  decimals are never equally near x, so n + r rounded to a multiple of
+  10^j is the nearest, as repr requires.  No candidate ever lies on the
+  interval's boundary: for x in [1e-4, 2^53) the boundary x +- ulp/2 is an
+  odd multiple of a negative power of two with at least 17 significant
+  digits, never a multiple of 10 once scaled; in [2^53, 1e16) it scales to
+  ten times an odd integer, while 10x is the multiple of 10 inside.  So
+  float()'s rule, that a boundary reads back as x only when x's mantissa
+  is even, never decides.
 * Python's own ``format``/``repr`` spells what the kernel cannot do
   exactly: zeros, |x| < 1e-4, |x| >= 1e15 for ``.15g`` or 1e16 for
   ``repr`` (the sizes Python writes with an exponent), powers of two,
   whose rounding interval is lopsided, infinities, and ``repr`` digits
-  that would need k < 0.  NaN is written as a text the caller names.
+  that end left of the units place, as in 28947741720.0.  NaN is written
+  as a text the caller names.
 
 Text is laid out in 4-byte words, NUL where nothing is written.  A field
-is a list of word columns, one word per row each, plus patches that
-overwrite whole rows with text spelled by Python.  Every digit word comes
-from one table, ``_DIGITS``, of the four-digit words "0000".."9999": an
-integer part's groups are masked to their last digits, and a fraction's
-last nonzero group to its digits before the trailing zeros.  The sign and
-the decimal point are words of their own, NUL where they are not written.
-``rows`` lays a block's word columns side by side and drops every NUL.
+is a list of word columns, one word per row each, with the rows Python
+spells written in.  Every digit word comes from one table, ``_DIGITS``, of
+the words "0000".."9999": an integer part's groups are masked to their
+last digits; a fraction's first group has three digits and the point in
+place of its leading "0", and its last nonzero group is masked before its
+trailing zeros.  ``rows`` ORs neighbouring columns that write disjoint
+bytes into one word, lays a block's words side by side and drops every NUL.
 """
 
 from __future__ import annotations
@@ -42,11 +45,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .geometry import two_sum
-
-#: A field of a block: one word column per word (a uint32 per row, or one for all rows), and (rows, words)
-#: patches replacing those rows.
-Field = tuple[list, list[tuple[np.ndarray, np.ndarray]]]
+#: A field of a block: one word column per word, a uint32 per row.
+Field = list
 #: A row template item: literal text, or (column index, function from that column to a Field).
 Item = Union[str, tuple[int, Callable[[np.ndarray], Field]]]
 
@@ -85,17 +85,19 @@ def _words(texts: Sequence[str]) -> np.ndarray:
 
 def _text_words(chars: np.ndarray) -> np.ndarray:
     """Rows of 4 bytes as words."""
-    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)[:, 0]
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)[..., 0]
 
 
 _GROUPS = np.arange(10**4)[:, None]  # every four-digit group g, a column against its four digit places
 #: The word of each four-digit group g: "0042" for 42.
 _DIGITS = _text_words(48 + _GROUPS // np.array([1000, 100, 10, 1]) % 10)
-#: _SHOW_LAST[s] keeps a word's last s bytes: "  42" is _DIGITS[42] & _SHOW_LAST[2].
-_SHOW_LAST = _text_words(255 * (np.arange(4) >= 4 - np.arange(5)[:, None]))
+#: _SHOW_LAST[j, length] keeps the bytes of word j, counted from the right, that an integer of length digits
+#: writes: "  42" is _DIGITS[42] & _SHOW_LAST[0, 2].
+_SHOW_LAST = _text_words(255 * (np.arange(4) + np.arange(17)[:, None] >= 4 * np.arange(1, 5)[:, None, None]))
 #: _TRAILING[g] keeps group g's digits up to its last nonzero one: "42  " is _DIGITS[4200] & _TRAILING[4200].
 _TRAILING = _text_words(255 * (_GROUPS % np.array([10**4, 1000, 100, 10]) != 0))
-_MINUS, _POINT, _POINT_ZERO = _words(["-", ".", ".0"])[:, 0]
+_MINUS = _words(["-"])[0, 0]
+_ZERO_TO_POINT = ord("0") ^ ord(".")  # turns a word's first byte from "0" into "."
 
 
 def _exponent(a: np.ndarray) -> np.ndarray:
@@ -108,64 +110,47 @@ def _exponent(a: np.ndarray) -> np.ndarray:
     return e - (a < _CEIL_POW10[e + 4]) + (a >= _CEIL_POW10[e + 5])
 
 
-def _round_scaled(a, a_hi, a_lo, k):
-    """N = a*10^k rounded to the nearest integer, ties to even, and a*10^k - N as the exact sum w + err.
+def _scaled(a, e):
+    """(n, r, k): a*10^k = n + r exactly, for k = 16 - e, n an integer of 17 digits and |r| <= 1/2.
 
-    TwoProduct gives a*10^k = hi + lo exactly.  With f = floor(hi) and
-    (s, err) = TwoSum(hi - f, lo), the value is f + s + err; q = rint(s)
-    leaves u = s - q in [-1/2, 1/2], exactly, and err is below half an ulp
-    of s, so it can only push a remainder of exactly +-1/2 across the half.
+    TwoProduct's hi >= 1e16 > 2^53 is an even integer, so n = hi + rint(lo)
+    is a*10^k rounded half-even, and r = lo - rint(lo) is exact.
     """
+    k = 16 - e
+    a_hi, a_lo = _split(a)
     p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
     hi = a * _POW10[k]
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    f = np.floor(hi)
-    s, err = two_sum(hi - f, lo)
-    q = np.rint(s)
-    u = s - q
-    n = f.astype(np.int64) + q.astype(np.int64)
-    away = (np.abs(u) == 0.5) & ((err * u > 0) | ((err == 0) & (n & 1 == 1)))
-    step = np.where(away, np.sign(u), 0.0)
-    return n + step.astype(np.int64), u - step, err
+    q = np.rint(lo)
+    return hi.astype(np.int64) + q.astype(np.int64), lo - q, k
 
 
-def _inside(w, err, h):
-    """Whether |w + err| < h, exactly; |w + err| = h never occurs (see the module docstring)."""
-    t, t_err = two_sum(w, err)
-    t_err = np.where(t < 0, -t_err, t_err)
-    t = np.abs(t)
-    return (t < h) | ((t == h) & (t_err < 0))
+def _round_off(n, r, j):
+    """(n + r) / 10^j rounded to the nearest integer, ties to even, for integers n and |r| <= 1/2."""
+    m = _POW10_INT[j]
+    q = n // m
+    twice = 2 * (n - q * m)  # n + r lies above q*m + m/2 when twice > m, or twice == m and r > 0
+    return q + ((twice > m) | ((twice == m) & ((r > 0) | ((r == 0) & (q & 1 == 1)))))
 
 
-def _shortest_digits(a, e):
-    """(N, k, p): repr's p significant digits N of a = N*10^-k, a in [1e-4, 1e16).
+def _dropped_digits(a, n, r, k):
+    """The most trailing digits j of n + r = a*10^k whose multiples of 10^j meet a's rounding interval, scaled.
 
-    Rows whose search reaches k < 0 come back with k = -1, to be spelled
-    by Python.
+    h, half an ulp of a times 10^k, r - h and r + h are exact: multiples of
+    2^-47 below 2^5.  A multiple of 10^j lies in (n + r - h, n + r + h]
+    when floor division by 10^j tells the floored ends apart.
     """
-    a_hi, a_lo = _split(a)
-    half_ulp = 0.5 * np.spacing(a)
-    k = 15 - e  # 16 digits
-    n, w, err = _round_scaled(a, a_hi, a_lo, k)
-    inside = _inside(w, err, half_ulp * _POW10[k])
-    p = np.where(inside, 16, 17)
-    k += ~inside
-    rows = np.flatnonzero(inside)
-    for digits in range(15, 0, -1):
-        kk = digits - 1 - e[rows]
-        stuck = kk < 0
-        if stuck.any():
-            k[rows[stuck]] = -1
-            rows, kk = rows[~stuck], kk[~stuck]
-        found, w, err = _round_scaled(a[rows], a_hi[rows], a_lo[rows], kk)
-        inside = _inside(w, err, half_ulp[rows] * _POW10[kk])
-        rows = rows[inside]
-        if not rows.size:
+    h = 0.5 * np.spacing(a) * _POW10[k]
+    low = n + np.floor(r - h).astype(np.int64)
+    high = n + np.floor(r + h).astype(np.int64)
+    j = np.zeros_like(n)
+    for _ in range(16):
+        low, high = low // 10, high // 10
+        inside = high > low
+        if not inside.any():
             break
-        n[rows], k[rows], p[rows] = found[inside], kk[inside], digits
-    rows = np.flatnonzero(p == 17)
-    n[rows] = _round_scaled(a[rows], a_hi[rows], a_lo[rows], k[rows])[0]
-    return n, k, p
+        j += inside  # a row with no multiple of 10^j between its ends has none of 10^(j+1)
+    return j
 
 
 def _integer_words(v, length):
@@ -173,31 +158,38 @@ def _integer_words(v, length):
     columns = []
     for j in range(-(-int(length.max(initial=1)) // 4)):
         q = v // 10**4
-        columns.append(_DIGITS[v - q * 10**4] & _SHOW_LAST[np.clip(length - 4 * j, 0, 4)])
+        columns.append(_DIGITS[v - q * 10**4] & _SHOW_LAST[j, length])
         v = q
     return columns[::-1]
 
 
-def _fraction_words(high, low, repr_style):
-    """Word columns of "." and a fraction given as 24 digits high*10^12 + low, trailing zeros blank.
+def _fraction_words(fraction, k, repr_style):
+    """Word columns of the k-digit fractions: ".ddd", then groups of four, trailing zeros blank.
 
-    Only the columns up to the last nonzero digit of any row are
-    returned; a zero fraction is written ".0" by repr and not at all by
-    .15g.
+    A zero fraction is written ".0" by repr and not at all by .15g.
     """
+    width = (int(k.max(initial=0)) + 4) // 4
+    if width <= 3:  # 11 digits at most: fraction*10^(11 - k)
+        halves = [fraction * _POW10_INT[11 - k]]
+    else:  # 23 digits, in halves of 11 and 12
+        m = np.maximum(k - 11, 0)
+        high, low = np.divmod(fraction, _POW10_INT[m])
+        halves = [high * _POW10_INT[np.maximum(11 - k, 0)], low * _POW10_INT[12 - m]]
     groups = []
-    for v in (high, low):
+    for v in halves:
         q = v // 10**4
         top = q // 10**4
         groups += [top, q - top * 10**4, v - q * 10**4]
-    width = max((j + 1 for j in range(6) if groups[j].any()), default=0)
     columns = []
-    nonzero_right = np.zeros(len(high), bool)
-    for g in reversed(groups[:width]):
-        digits = _DIGITS[g]
-        columns.append(np.where(nonzero_right, digits, digits & _TRAILING[g]))
+    nonzero_right = np.zeros(len(fraction), bool)
+    for j in reversed(range(width)):
+        g = groups[j]
+        digits, keep = _DIGITS[g], _TRAILING[g]
+        if j == 0:  # the first group has three digits: "0ddd" becomes ".ddd", and repr keeps ".0"
+            digits, keep = digits ^ _ZERO_TO_POINT, keep | (0xFFFF if repr_style else 0)
+        columns.append(np.where(nonzero_right, digits, digits & keep))
         nonzero_right |= g != 0
-    return [np.where(nonzero_right, _POINT, _POINT_ZERO if repr_style else 0), *columns[::-1]]
+    return columns[::-1]
 
 
 def _floats(x, repr_style: bool, nan: str) -> Field:
@@ -210,15 +202,12 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
     every = bool(kernel.all())
     if not every:
         a = np.where(kernel, a, 1.5)
-    e = _exponent(a)
-    if repr_style:
-        n, k, p = _shortest_digits(a, e)
-    else:
-        k, p = 14 - e, 15
-        n = _round_scaled(a, *_split(a), k)[0]
+    n, r, k = _scaled(a, _exponent(a))
+    j = _dropped_digits(a, n, r, k) if repr_style else 2  # .15g keeps 15 of the 17 digits
+    n, k, p = _round_off(n, r, j), k - j, 17 - j
     carry = n == _POW10_INT[p]  # rounded up to 10^p
-    n = np.where(carry, n // 10, n)
-    k = k - carry
+    if carry.any():
+        n, k = np.where(carry, n // 10, n), k - carry
     length = np.maximum(p - k, 1)  # digits before the decimal point
     fixed = (k >= 0) & (length <= 16)  # else Python writes an exponent, or k < 0
     if not fixed.all():
@@ -228,25 +217,19 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
     if not every:
         n, k, length, neg = np.where(kernel, n, 0), np.where(kernel, k, 0), np.where(kernel, length, 1), neg & kernel
 
-    kc = np.minimum(k, 18)  # N < 10^17: past 18 fraction digits the integer part is 0
-    integer = n // _POW10_INT[kc]
-    fraction = n - integer * _POW10_INT[kc]
-    m = np.maximum(k - 12, 0)  # the fraction as 24 digits, in two halves of 12
-    high = fraction // _POW10_INT[m]
-    low = (fraction - high * _POW10_INT[m]) * _POW10_INT[12 - m]
-    high *= _POW10_INT[np.maximum(12 - k, 0)]
-    columns = [np.where(neg, _MINUS, 0), *_integer_words(integer, length), *_fraction_words(high, low, repr_style)]
+    integer, fraction = np.divmod(n, _POW10_INT[np.minimum(k, 18)])  # n < 10^17: no integer part past 18 digits
+    columns = [np.where(neg, _MINUS, 0), *_integer_words(integer, length), *_fraction_words(fraction, k, repr_style)]
 
-    patches = []
-    if not every:
-        missing = np.isnan(x)
-        if missing.any():
-            patches.append((np.flatnonzero(missing), _words([nan])))
-        spelled = np.flatnonzero(~(kernel | missing))
-        if spelled.size:
-            spell = repr if repr_style else lambda v: format(v + 0.0, ".15g")
-            patches.append((spelled, _words([spell(v) for v in x[spelled].tolist()])))
-    return columns, patches
+    missing = np.isnan(x)
+    spelled = np.flatnonzero(~(kernel | missing))
+    spell = repr if repr_style else lambda v: format(v + 0.0, ".15g")
+    for where, texts in ((np.flatnonzero(missing), [nan]), (spelled, [spell(v) for v in x[spelled].tolist()])):
+        if where.size:  # the caller's text for NaN, or Python's, overwrites these rows
+            text = _words(texts)
+            columns += [np.zeros(len(x), np.uint32) for _ in range(text.shape[1] - len(columns))]
+            for i, column in enumerate(columns):
+                column[where] = text[:, i] if i < text.shape[1] else 0
+    return columns
 
 
 def g15(x: np.ndarray, nan: str = "nan") -> Field:
@@ -264,34 +247,50 @@ def integers(v: np.ndarray) -> Field:
     v = np.asarray(v, dtype=np.int64)
     if len(v) and not (v.min() >= 0 and v.max() < 10**15):
         raise ValueError("integers spells 0 <= i < 10^15 only")
-    length = _exponent(np.maximum(v, 1).astype(np.float64)) + 1
-    return _integer_words(v, length), []
+    length = np.maximum(np.searchsorted(_POW10_INT, v, side="right"), 1)  # digits: the powers of ten <= v
+    return _integer_words(v, length)
 
 
 def words(texts: Sequence[str], index: np.ndarray) -> Field:
     """texts[i] for each i in index."""
-    return list(_words(texts).T[:, index]), []
+    return list(_words(texts).T[:, index])
+
+
+def _used(word) -> tuple[int, int]:
+    """The first byte and one past the last byte that a word, or any row of a word column, writes; (4, 0) if none."""
+    bits = int(np.bitwise_or.reduce(word)) if isinstance(word, np.ndarray) else int(word)
+    used = [b for b in range(4) if bits >> 8 * b & 255]
+    return (used[0], used[-1] + 1) if used else (4, 0)
 
 
 def rows(template: Sequence[Item], columns: Sequence[np.ndarray]) -> str:
-    """The template's text for each row of the equal-length columns, concatenated."""
+    """The template's text for each row of the equal-length columns, concatenated.
+
+    Word columns that write disjoint bytes, the first before the second in
+    every row, are ORed into one, and a literal is right-aligned when its
+    leading blanks let it join the column before it.  Dropping every NUL
+    then spells the same text from fewer words.
+    """
     count = len(columns[0]) if columns else 0
-    layout, patches = [], []
+    layout, end = [], 5  # groups of word columns to OR, and one past the last byte the last group writes
     for item in template:
         if isinstance(item, str):
-            field_words, field_patches = list(_words([item])[0]), []
+            pad = -len(item) % 4
+            item_words = list(_words(["\0" * pad + item if end <= pad else item])[0])
         else:
-            column, field = item
-            field_words, field_patches = field(columns[column])
-        width = max([len(field_words)] + [text.shape[1] for _, text in field_patches])
-        patches += [(len(layout), len(layout) + width, where, text) for where, text in field_patches]
-        layout += field_words + [0] * (width - len(field_words))
+            item_words = item[1](columns[item[0]])
+        for word in item_words:
+            first, last = _used(word)
+            if end <= first:
+                layout[-1].append(word)
+                end = max(end, last)
+            else:
+                layout.append([word])
+                end = last
     canvas = np.empty((len(layout), count), np.uint32)
-    for j, word in enumerate(layout):
-        canvas[j] = word
+    for row, group in zip(canvas, layout):
+        row[...] = group[0]
+        for word in group[1:]:
+            row |= word
     canvas = np.ascontiguousarray(canvas.T)  # filling by columns, then transposing, is faster
-    for start, stop, where, text in patches:
-        canvas[where, start : start + text.shape[1]] = text
-        canvas[where, start + text.shape[1] : stop] = 0
-    chars = canvas.view(np.uint8).ravel()
-    return chars[chars != 0].tobytes().decode("ascii")
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
