@@ -97,7 +97,9 @@ _SHOW_LAST = _text_words(255 * (np.arange(4) + np.arange(17)[:, None] >= 4 * np.
 #: _TRAILING[g] keeps group g's digits up to its last nonzero one: "42  " is _DIGITS[4200] & _TRAILING[4200].
 _TRAILING = _text_words(255 * (_GROUPS % np.array([10**4, 1000, 100, 10]) != 0))
 _MINUS = _words(["-"])[0, 0]
-_ZERO_TO_POINT = ord("0") ^ ord(".")  # turns a word's first byte from "0" into "."
+_NONE = np.uint32(0)  # the empty word, typed so that np.where keeps a column uint32 on NumPy 1.x too
+_ZERO_TO_POINT = _words(["0"])[0, 0] ^ _words(["."])[0, 0]  # turns a word's first byte from "0" into "."
+_FIRST_TWO = _text_words([255, 255, 0, 0])  # keeps a word's first two bytes: repr's ".0"
 
 
 def _exponent(a: np.ndarray) -> np.ndarray:
@@ -169,12 +171,9 @@ def _fraction_words(fraction, k, repr_style):
     A zero fraction is written ".0" by repr and not at all by .15g.
     """
     width = (int(k.max(initial=0)) + 4) // 4
-    if width <= 3:  # 11 digits at most: fraction*10^(11 - k)
-        halves = [fraction * _POW10_INT[11 - k]]
-    else:  # 23 digits, in halves of 11 and 12
-        m = np.maximum(k - 11, 0)
-        high, low = np.divmod(fraction, _POW10_INT[m])
-        halves = [high * _POW10_INT[np.maximum(11 - k, 0)], low * _POW10_INT[12 - m]]
+    m = np.maximum(k - 11, 0)  # 23 digits, in halves of 11 and 12
+    high, low = np.divmod(fraction, _POW10_INT[m])
+    halves = [high * _POW10_INT[np.maximum(11 - k, 0)], low * _POW10_INT[12 - m]]
     groups = []
     for v in halves:
         q = v // 10**4
@@ -186,7 +185,7 @@ def _fraction_words(fraction, k, repr_style):
         g = groups[j]
         digits, keep = _DIGITS[g], _TRAILING[g]
         if j == 0:  # the first group has three digits: "0ddd" becomes ".ddd", and repr keeps ".0"
-            digits, keep = digits ^ _ZERO_TO_POINT, keep | (0xFFFF if repr_style else 0)
+            digits, keep = digits ^ _ZERO_TO_POINT, keep | (_FIRST_TWO if repr_style else _NONE)
         columns.append(np.where(nonzero_right, digits, digits & keep))
         nonzero_right |= g != 0
     return columns[::-1]
@@ -218,7 +217,7 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
         n, k, length, neg = np.where(kernel, n, 0), np.where(kernel, k, 0), np.where(kernel, length, 1), neg & kernel
 
     integer, fraction = np.divmod(n, _POW10_INT[np.minimum(k, 18)])  # n < 10^17: no integer part past 18 digits
-    columns = [np.where(neg, _MINUS, 0), *_integer_words(integer, length), *_fraction_words(fraction, k, repr_style)]
+    columns = [np.where(neg, _MINUS, _NONE), *_integer_words(integer, length), *_fraction_words(fraction, k, repr_style)]
 
     missing = np.isnan(x)
     spelled = np.flatnonzero(~(kernel | missing))
@@ -258,9 +257,8 @@ def words(texts: Sequence[str], index: np.ndarray) -> Field:
 
 def _used(word) -> tuple[int, int]:
     """The first byte and one past the last byte that a word, or any row of a word column, writes; (4, 0) if none."""
-    bits = int(np.bitwise_or.reduce(word)) if isinstance(word, np.ndarray) else int(word)
-    used = [b for b in range(4) if bits >> 8 * b & 255]
-    return (used[0], used[-1] + 1) if used else (4, 0)
+    used = np.flatnonzero(np.bitwise_or.reduce(np.atleast_1d(word), keepdims=True).view(np.uint8))
+    return (int(used[0]), int(used[-1]) + 1) if used.size else (4, 0)
 
 
 def rows(template: Sequence[Item], columns: Sequence[np.ndarray]) -> str:
