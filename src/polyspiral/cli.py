@@ -186,7 +186,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _summary(args: argparse.Namespace, table: DistanceTable) -> list[tuple[str, float]]:
     family = Family(args.family)
     targets = {parity: limit_distance(family, parity) for parity in Parity}
-    raw = parity_means(table.select(table.n >= int(0.8 * table.n[-1])))
+    tail = table.select(table.n >= int(0.8 * table.n[-1]))
+    raw = parity_means(tail.n, tail.distance)
     pairs = []
     for parity, mean in raw.items():
         pairs.append((f"raw_mean_{parity.value}", mean))
@@ -194,7 +195,8 @@ def _summary(args: argparse.Namespace, table: DistanceTable) -> list[tuple[str, 
     if args.extrapolate:
         have = table.n[~np.isnan(table.extrapolated)]
         if len(have):
-            ext = parity_means(table.select(table.n >= int(0.8 * have[-1])), extrapolated=True)
+            tail = table.select(table.n >= int(0.8 * have[-1]))
+            ext = parity_means(tail.n, tail.extrapolated)
             pairs += [(f"extrapolated_mean_{parity.value}", mean) for parity, mean in ext.items()]
             if Parity.EVEN in ext and Parity.ODD in ext:
                 pairs.append(("extrapolated_combined_mean", 0.5 * (ext[Parity.EVEN] + ext[Parity.ODD])))

@@ -211,8 +211,8 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
         )
 
     motion = RigidMotion(phi, c)
-    means = parity_means(distance_table(seq, motion.frame(), window[1], n_min=window[0]))
-    diag = FitDiagnostics(float(residuals.max()), _residual_slope(ns, residuals), means)
+    table = distance_table(seq, motion.frame(), window[1], n_min=window[0])
+    diag = FitDiagnostics(float(residuals.max()), _residual_slope(ns, residuals), parity_means(table.n, table.distance))
     return motion, diag
 
 
@@ -273,8 +273,8 @@ def fit_motion_to_spiral(
     if objective > MAX_POLISH_OBJECTIVE:
         raise FitError(f"no consistent motion: best objective {objective:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
     residual_max = float(np.abs(table.distance).max())
-    slope = _residual_slope(table.n, residuals)
-    return motion, FitDiagnostics(residual_max, slope, parity_means(table), objective, _GAUSS_NEWTON_STEPS + 1)
+    slope, means = _residual_slope(table.n, residuals), parity_means(table.n, table.distance)
+    return motion, FitDiagnostics(residual_max, slope, means, objective, _GAUSS_NEWTON_STEPS + 1)
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:
@@ -295,34 +295,31 @@ def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: i
     return DistanceTable(np.arange(n_min, n_max + 1), d, theta)
 
 
-def parity_means(table: DistanceTable, extrapolated: bool = False) -> dict[Parity, float]:
-    """Mean distance per parity; optionally over extrapolated values only."""
-    values = table.extrapolated if extrapolated else table.distance
-    keep = ~np.isnan(values) if extrapolated else True
+def parity_means(n: np.ndarray, values: np.ndarray) -> dict[Parity, float]:
+    """Mean of values per parity of n, NaN entries skipped; a parity with no value is left out."""
     means = {}
     for parity in Parity:
-        sel = values[keep & (table.n % 2 == (parity is Parity.ODD))]
+        sel = values[~np.isnan(values) & (n % 2 == (parity is Parity.ODD))]
         if len(sel):
             means[parity] = float(np.mean(sel))
     return means
 
 
 def richardson_extrapolate(table: DistanceTable) -> DistanceTable:
-    """Eliminate the 1/n^2 tail by pairing each index n with 2n, or 2n +- 1.
+    """Eliminate the 1/n^2 tail by pairing each index n with the same-parity index nearest 2n.
 
     With the exact motion the distances approach their limits as
-    L + kappa/n^2 per parity.  The partner m must have the same parity as
-    n, so an odd n pairs with 2n + 1 (or 2n - 1 where 2n + 1 is missing),
-    and the exact two-point elimination is
-    (m^2*d(m) - n^2*d(n)) / (m^2 - n^2).  Indices without a partner get NaN.
+    L + kappa/n^2 per parity.  The partner m is 2n for even n; for odd n it
+    is 2n + 1, or 2n - 1 where 2n + 1 is missing, and never n itself.  The
+    exact two-point elimination is (m^2*d(m) - n^2*d(n)) / (m^2 - n^2).
+    Indices without a partner get NaN.
     """
     n, d = table.n, table.distance
     extrapolated = np.full(len(n), np.nan)
     unpaired = np.ones(len(n), dtype=bool)
-    for offset in (0, 1, -1):
-        m = 2 * n + offset
+    for m in (2 * n + n % 2, 2 * n - n % 2):
         j = np.minimum(np.searchsorted(n, m), len(n) - 1)
-        hit = unpaired & (n[j] == m) & ((m - n) % 2 == 0) & (m != n)
+        hit = unpaired & (n[j] == m) & (m != n)
         m2, n2 = m[hit].astype(float) ** 2, n[hit].astype(float) ** 2
         extrapolated[hit] = (m2 * d[j[hit]] - n2 * d[hit]) / (m2 - n2)
         unpaired &= ~hit

@@ -137,7 +137,8 @@ def test_criterion_10_offset_curve_distance():
 def test_criterion_11_headline_constants(p_table, q_table):
     start = time.perf_counter()
     p_ex = mt.richardson_extrapolate(p_table)
-    p_means = mt.parity_means(p_ex.select((p_ex.n >= 900) & (p_ex.n <= 1000)), extrapolated=True)
+    p_tail = p_ex.select((p_ex.n >= 900) & (p_ex.n <= 1000))
+    p_means = mt.parity_means(p_tail.n, p_tail.extrapolated)
     even, odd = p_means[Parity.EVEN], p_means[Parity.ODD]
 
     q_ex = mt.richardson_extrapolate(q_table)

