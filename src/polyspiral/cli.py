@@ -20,7 +20,7 @@ import numpy as np
 
 from . import floattext, verify
 from .asymptotics import Parity, limit_distance
-from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
+from .geometry import CenterSequence, Family, build_chain, centers, centers_all, centers_odd
 from .metrics import (
     FRAMES,
     DistanceTable,
@@ -225,7 +225,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     spiral_samples = None
     if args.overlay:
         frame = FRAMES[Family.ALL_POLYGONS]
-        thetas = distance_table(centers_all(args.n_max), frame, args.n_max).theta
+        thetas = distance_table(centers(Family.ALL_POLYGONS, args.n_max), frame, args.n_max).theta
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
         spiral_samples = frame.from_spiral(TARGET_SPIRAL.point(grid))
     scene = scene_from_chain(chain, spiral_samples)

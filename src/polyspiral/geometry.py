@@ -114,7 +114,7 @@ def _expi_pi(s: np.ndarray) -> np.ndarray:
     """exp(i*pi*s) with argument reduction, exact at integer s."""
     n = np.rint(s)
     f = s - n
-    sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+    sign = 1.0 - 2.0 * (n.astype(np.int64) & 1)
     return sign * (np.cos(np.pi * f) + 1j * (np.sin(np.pi * f) + 0.0))
 
 

@@ -123,8 +123,8 @@ def suite_power_sums() -> list[CheckResult]:
     return results
 
 
-#: The balanced member b = 1/2 (zero gap) and every approximant constant.
-GAP_CASES = ((0.0, 0.5),) + tuple(
+#: The balanced member b = 1/2 (zero gap) at a = 0 and 1/4, and every approximant constant.
+GAP_CASES = ((0.0, 0.5), (0.25, 0.5)) + tuple(
     sorted({(0.25, float(b)) for approx in asym.APPROXIMANTS.values() for b in (approx.b_even, approx.b_odd)})
 )
 

@@ -15,7 +15,6 @@ from polyspiral import metrics as mt
 from polyspiral import verify
 from polyspiral.asymptotics import Parity
 from polyspiral.cli import main
-from polyspiral.spiral import offset_distance_profile
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -103,35 +102,15 @@ def test_criterion_08_approximant_residual_rate(p_seq, p_fit):
 
 
 def test_criterion_09_gap_limits():
-    worst_gap = 0.0
-    for b in (0.5, 43.0 / 6.0, 31.0 / 6.0):
-        z = asym.asymptotic_form(1e4, 0.25, b)
-        gap = asym.spiral_gap(z, 0.5 * math.pi * math.log(1e4))
-        worst_gap = max(worst_gap, abs(gap - asym.gap_limit(b)))
-    ts = np.geomspace(1e2, 1e5, 61)
-    worst_rate = 0.0
-    for b in (0.5, 43.0 / 6.0, 31.0 / 6.0):
-        res = [
-            t * (asym.spiral_gap(asym.asymptotic_form(t, 0.25, b), 0.5 * math.pi * math.log(t)) - asym.gap_limit(b))
-            for t in ts
-        ]
-        worst_rate = max(worst_rate, float(np.abs(res).max()))
-    _report(
-        "09-gap-limits",
-        worst_gap <= 1e-2 and worst_rate <= 10.0,
-        f"max |gap - limit| {worst_gap:.3e} at t=1e4 (tol 1e-2), max t*residual {worst_rate:.3f} (bound 10)",
-    )
+    results = verify.suite_gap_limit()
+    ok = all(r.passed for r in results)
+    _report("09-gap-limits", ok, "; ".join(r.detail for r in results))
 
 
 def test_criterion_10_offset_curve_distance():
-    rs = np.geomspace(1e2, 1e4, 25)
-    d, pred = offset_distance_profile(4.0 / math.pi, 1.0, rs)
-    worst = float((np.abs(d - pred) * rs).max()) / 5.0
-    _report(
-        "10-offset-curve-distance",
-        worst <= 1.0,
-        f"max |d - pred| * r / 5 = {worst:.3e} over r in [1e2, 1e4] (bound 1)",
-    )
+    results = verify.suite_offset_distance()
+    ok = all(r.passed for r in results)
+    _report("10-offset-curve-distance", ok, "; ".join(r.detail for r in results))
 
 
 def test_criterion_11_headline_constants(p_table, q_table):

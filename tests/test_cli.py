@@ -17,28 +17,6 @@ def run(capsys, *argv):
 
 
 class TestCenters:
-    def test_seed_row_bytes(self, capsys):
-        code, out, _ = run(capsys, "centers", "--family", "all", "--n-max", "3")
-        assert code == 0
-        assert out == "n,re,im\n3,-0.288675134594813,0\n"
-
-    def test_fourth_center_row(self, capsys):
-        code, out, _ = run(capsys, "centers", "--family", "all", "--n-max", "4")
-        assert code == 0
-        assert out.splitlines()[2] == "4,-0.68301270189222,-0.683012701892219"
-
-    def test_odd_family_first_row(self, capsys):
-        code, out, _ = run(capsys, "centers", "--family", "odd", "--n-max", "2")
-        assert code == 0
-        assert out.splitlines()[1] == "2,-0.4884330474152,-0.845990854218825"
-
-    def test_json_format(self, capsys):
-        code, out, _ = run(capsys, "centers", "--family", "all", "--n-max", "4", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["family"] == "all"
-        assert payload["records"][0]["n"] == 3
-
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "centers.csv"
         code, out, _ = run(capsys, "centers", "--n-max", "5", "--out", str(target))
@@ -105,37 +83,6 @@ class TestVerify:
 
 
 class TestFitAndDistances:
-    def test_fit_json(self, capsys):
-        code, out, _ = run(capsys, "fit", "--family", "all", "--n-max", "200", "--window", "100:200")
-        assert code == 0
-        info = json.loads(out)
-        assert info["route"] == "approximant"
-        assert info["rotation"] == pytest.approx(1.9954812913476028, abs=1e-6)
-
-    def test_distances_csv_schema(self, capsys):
-        code, out, _ = run(capsys, "distances", "--family", "all", "--n-max", "240", "--extrapolate")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "n,parity,distance,extrapolated"
-        assert lines[1].startswith("3,odd,")
-        assert any(line.startswith("# extrapolated_mean_even=") for line in lines)
-        assert any(line.startswith("# target_combined_mean=") for line in lines)
-
-    def test_distances_json_summary_targets(self, capsys):
-        code, out, _ = run(capsys, "distances", "--family", "all", "--n-max", "240", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert sorted(payload) == ["records", "summary"]
-        assert payload["summary"]["target_even"] == pytest.approx(5.0 / 6.0)
-        assert payload["summary"]["target_odd"] == pytest.approx(7.0 / 12.0)
-        assert payload["summary"]["raw_mean_even"] == pytest.approx(5.0 / 6.0, abs=5e-3)
-
-    def test_determinism_small(self, capsys):
-        args = ("distances", "--family", "all", "--n-max", "240", "--extrapolate")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
-
     def test_window_must_fit(self, capsys):
         code, _, _ = run(capsys, "fit", "--n-max", "100", "--window", "50:200")
         assert code == 2
@@ -200,14 +147,6 @@ class TestFitAndDistances:
         lines = out.splitlines()
         assert code == 0 and lines[1].startswith("2,even,")
         assert "# target_even=0.291666666666667" in lines and "# inner_side_fraction=1" in lines
-
-    def test_odd_family_distances_summary(self, capsys):
-        code, out, _ = run(capsys, "distances", "--family", "odd", "--n-max", "400", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["summary"]["target_even"] == pytest.approx(7.0 / 24.0)
-        assert payload["summary"]["raw_mean_even"] == pytest.approx(7.0 / 24.0, abs=5e-3)
-        assert payload["summary"]["raw_mean_odd"] == pytest.approx(7.0 / 24.0, abs=5e-3)
 
 
 class TestRender:

@@ -251,11 +251,6 @@ class TestOffsetProfile:
         assert pred == pytest.approx(0.61766782483885603, abs=1e-14)
         assert abs(d - pred) <= 5e-4
 
-    def test_residual_rate(self):
-        rs = np.geomspace(1e2, 1e4, 13)
-        d, pred = sp.offset_distance_profile(BETA, 1.0, rs)
-        assert float((np.abs(d - pred) * rs).max()) <= 5.0
-
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
             sp.offset_distance_profile(-1.0, 1.0, [10.0])
