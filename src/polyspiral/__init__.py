@@ -13,8 +13,6 @@ from .asymptotics import (
     EULER_GAMMA,
     GROWTH_RATE,
     Approximant,
-    B1,
-    B3,
     Parity,
     alt_harmonic_expansion,
     approximant,
@@ -57,8 +55,6 @@ __all__ = [
     "APPROXIMANTS",
     "APPROXIMANT_SCALE",
     "Approximant",
-    "B1",
-    "B3",
     "CenterSequence",
     "DistanceTable",
     "EULER_GAMMA",

@@ -35,11 +35,6 @@ class Parity(Enum):
     ODD = "odd"
 
 
-#: Bernoulli polynomials B_1 and B_3 (ascending coefficients, dyadic and so exact in float64).
-B1 = np.polynomial.Polynomial([-0.5, 1.0])
-B3 = np.polynomial.Polynomial([0.0, 0.5, -1.5, 1.0])
-
-
 class Approximant(NamedTuple):
     """Centre approximant of one family: scale^(1+i*pi/4) * asymptotic_form(n - shift, 1/4, b).
 
@@ -84,16 +79,16 @@ def alt_harmonic_expansion(n):
     return math.log(2.0) - sign / (2.0 * t) + sign / (4.0 * t * t)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _periodized_integral(g: Callable[[np.ndarray], np.ndarray], bern: np.polynomial.Polynomial, m: int, n: int) -> complex:
+def _periodized_integral(
+    g: Callable[[np.ndarray], np.ndarray], bern: Callable[[np.ndarray], np.ndarray], m: int, n: int
+) -> complex:
     """Integral of g(t) * B({t}) over [m, n], Gauss-Legendre per unit interval."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     starts = np.arange(m, n, dtype=float)
-    frac = 0.5 * (_GL_NODES + 1.0)  # nodes mapped to [0, 1)
+    frac = 0.5 * (nodes + 1.0)  # nodes mapped to [0, 1)
     t = starts[:, None] + frac[None, :]
     values = np.asarray(g(t)) * bern(frac)[None, :]
-    return complex(0.5 * np.sum(values * _GL_WEIGHTS[None, :]))
+    return complex(0.5 * np.sum(values * weights[None, :]))
 
 
 def em_sum_minus_integral(
@@ -114,9 +109,9 @@ def em_sum_minus_integral(
         raise ValueError("m must be < n")
     endpoint = 0.5 * (complex(f(float(m))) + complex(f(float(n))))
     if d3f is None:
-        return endpoint + _periodized_integral(df, B1, m, n)
+        return endpoint + _periodized_integral(df, lambda x: x - 0.5, m, n)  # B_1
     gradient = (complex(df(float(n))) - complex(df(float(m)))) / 12.0
-    return endpoint + gradient + _periodized_integral(d3f, B3, m, n) / 6.0
+    return endpoint + gradient + _periodized_integral(d3f, lambda x: ((x - 1.5) * x + 0.5) * x, m, n) / 6.0  # B_3
 
 
 def power_sum_prefix(p: int, n_max: int) -> np.ndarray:

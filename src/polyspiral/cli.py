@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import floattext, verify
+from . import floattext
 from .asymptotics import Parity, limit_distance
 from .geometry import CenterSequence, Family, build_chain, centers, centers_all, centers_odd
 from .metrics import (
@@ -143,6 +143,7 @@ def cmd_centers(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # only this command runs the lemma suites
     for name in args.suites:
         if name != "all" and name not in verify.SUITES:
             raise UsageError(f"unknown suite {name!r}; choose from {sorted(verify.SUITES)} or 'all'")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if command == "verify":
-            p.add_argument("suites", nargs="+", metavar="SUITE", help=f"{sorted(verify.SUITES)} or 'all'")
+            p.add_argument("suites", nargs="+", metavar="SUITE", help="a suite name, or 'all'")
         for option in options + ("--out",):
             p.add_argument(option, **_OPTIONS[option])
     return parser

@@ -66,21 +66,6 @@ class TestHarmonicExpansions:
             np.testing.assert_array_equal(vectorized[..., i], func(int(n)))
 
 
-class TestBernoulli:
-    def test_unit_interval_integrals_vanish(self):
-        # the periodic Bernoulli functions in the Euler-Maclaurin remainders have mean zero
-        for bern in (asym.B1, asym.B3):
-            assert bern.integ()(1.0) - bern.integ()(0.0) == 0
-
-    def test_cubic_endpoint_roots(self):
-        assert asym.B3(0.0) == 0.0
-        assert asym.B3(1.0) == 0.0
-
-    def test_values(self):
-        assert asym.B1(0.75) == pytest.approx(0.25, abs=1e-15)
-        assert asym.B3(0.5) == pytest.approx(0.0, abs=1e-15)
-
-
 def _poly_callables(c0, c1, c2, c3):
     f = lambda t: c0 + c1 * np.asarray(t, float) + c2 * np.asarray(t, float) ** 2 + c3 * np.asarray(t, float) ** 3
     df = lambda t: c1 + 2 * c2 * np.asarray(t, float) + 3 * c3 * np.asarray(t, float) ** 2

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polyspiral import asymptotics as asym
+from polyspiral import asymptotics as asym, verify
 from polyspiral.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,9 +45,13 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2 and "unknown suite" in err
+        assert all(repr(name) in err for name in verify.SUITES)  # the --help text names no suite
         for suites in (["all", "nonsense"], ["nonsense", "all"]):
             code, out, err = run(capsys, "verify", *suites)
             assert code == 2 and out == "" and "unknown suite 'nonsense'" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--help"])
+        assert exit_info.value.code == 0
 
     @pytest.mark.parametrize("suites", [["all", "harmonic"], ["harmonic", "all"], ["all", "all"]])
     def test_all_anywhere_runs_every_suite(self, capsys, suites):

@@ -249,11 +249,15 @@ def popen_python(*args: str) -> subprocess.Popen:
 
 
 class TestImports:
-    def test_cli_imports_no_mpmath_or_process_pool(self, tmp_path):
-        prefixes = ("scipy", "mpmath", "multiprocessing", "concurrent")
-        # import only; then a run of several blocks of rows, all written in this one process
+    def test_cli_imports_no_mpmath_process_pool_polynomial_or_verify(self, tmp_path):
+        prefixes = ("scipy", "mpmath", "multiprocessing", "concurrent", "numpy.polynomial", "polyspiral.verify")
+        # import only; then a run of several blocks of rows, all written in this one process.
+        # Modules `import numpy` loads itself are not counted: NumPy 1.x imports numpy.polynomial eagerly.
         for run in ("", "polyspiral.cli.main(['centers', '--n-max', '100000', '--out', sys.argv[1]])"):
-            code = f"import sys, polyspiral.cli\n{run}\nprint(sorted(m for m in sys.modules if m.startswith({prefixes})))"
+            code = (
+                f"import sys, numpy\nbase = set(sys.modules)\nimport polyspiral.cli\n{run}\n"
+                f"print(sorted(m for m in set(sys.modules) - base if m.startswith({prefixes})))"
+            )
             proc = run_python("-c", code, str(tmp_path / "centers.csv"))
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", run
