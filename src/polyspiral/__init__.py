@@ -39,7 +39,6 @@ from .metrics import (
     FRAMES,
     DistanceTable,
     FitError,
-    RigidMotion,
     SpiralFrame,
     TARGET_SPIRAL,
     distance_table,
@@ -64,7 +63,6 @@ __all__ = [
     "GROWTH_RATE",
     "LogSpiral",
     "Parity",
-    "RigidMotion",
     "SpiralFrame",
     "TARGET_SPIRAL",
     "Violation",

@@ -10,6 +10,7 @@ arguments produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import functools
 import json
@@ -22,7 +23,9 @@ from . import floattext
 from .asymptotics import Parity, limit_distance
 from .geometry import CenterSequence, Family, build_chain, centers, centers_all, centers_odd
 from .metrics import (
+    APPROXIMANT_SCALE,
     FRAMES,
+    NORMALIZATION,
     DistanceTable,
     FitError,
     TARGET_SPIRAL,
@@ -163,17 +166,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     seq = _sequence(args)
     window = fit_window(args)
     try:
-        motion, diag = fit_motion_to_approximant(seq, window)
+        frame, diag = fit_motion_to_approximant(seq, window)
         if args.route == "spiral":
-            motion, diag = fit_motion_to_spiral(seq, window, init=motion)
+            frame, diag = fit_motion_to_spiral(seq, window, init=frame)
     except ValueError as exc:  # the fits reject windows too short for them
         raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
+    # the frame as APPROXIMANT_SCALE * centre ~ exp(i*rotation) * approximant + translation
+    translation = APPROXIMANT_SCALE * frame.z0
     info = {
         "route": args.route,
         "window": list(window),
-        "rotation": motion.rotation,
-        "translation_re": motion.translation.real,
-        "translation_im": motion.translation.imag,
+        "rotation": cmath.phase(APPROXIMANT_SCALE / (NORMALIZATION * frame.K)),
+        "translation_re": translation.real,
+        "translation_im": translation.imag,
         "residual_max": diag.residual_max,
         "residual_slope": diag.residual_slope,
         "objective": diag.objective,

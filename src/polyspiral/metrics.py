@@ -4,10 +4,11 @@ The centre sequences approach the spiral r = exp(4*theta/pi) after one
 fixed orientation-preserving isometry per family, FRAMES[family].  The
 distance table, Richardson extrapolation and the inner-side classification
 measure the centres in those coordinates.  Two fit routes estimate the
-same motion from a window of centres and serve as cross-checks of the
+same frame from a window of centres and serve as cross-checks of the
 constants: a direct fit against the family's closed-form centre
-approximant, and a Gauss-Newton polish of a given motion until the
-nearest-distance profile is constant within each parity class.
+approximant, and a Gauss-Newton polish of a given frame until the
+nearest-distance profile is constant within each parity class.  Both
+return a SpiralFrame, the one type of a motion.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
 from .geometry import CenterSequence, Family
 from .spiral import LogSpiral, nearest_distances
 
-TWO_PI = 2.0 * math.pi
-
 #: Complex factor mapping centres into approximant coordinates: 2*pi*(1 + i*pi/4).
-APPROXIMANT_SCALE = TWO_PI * UNIT_COEFF
+APPROXIMANT_SCALE = 2.0 * math.pi * UNIT_COEFF
 
 #: Modulus of APPROXIMANT_SCALE; the normalization divisor s = 2*pi*sqrt(1 + pi^2/16).
 NORMALIZATION_MODULUS = abs(APPROXIMANT_SCALE)
@@ -46,7 +45,8 @@ class SpiralFrame(NamedTuple):
     """The rigid map w = K*(z - z0), |K| = 1, from centres to spiral coordinates.
 
     FRAMES[family] holds each family's pair, computed in mpmath and rounded
-    to float64 once; tests/test_constants.py recomputes both.  With
+    to float64 once; tests/test_constants.py recomputes both.  Both fits
+    return their estimate of the same map as a SpiralFrame.  With
     A = APPROXIMANT_SCALE and s = |A|, K_f = A*exp(-i*phi_f)/s^(1+i*pi/4)
     and z_f = lim (c_n - exp(i*phi_f)*approximant(n)/A).
 
@@ -92,22 +92,6 @@ FRAMES = MappingProxyType(
 
 class FitError(RuntimeError):
     """No consistent rigid motion found."""
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """A fitted alignment: APPROXIMANT_SCALE * centre ~ exp(i*rotation) * approximant + translation."""
-
-    rotation: float
-    translation: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", self.rotation % TWO_PI)
-
-    def frame(self) -> SpiralFrame:
-        """The same alignment as a map from centres to spiral coordinates."""
-        k = APPROXIMANT_SCALE * cmath.exp(-1j * self.rotation) / NORMALIZATION
-        return SpiralFrame(k, self.translation / APPROXIMANT_SCALE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +160,16 @@ def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: 
     return phi + float(coef[0]), c + complex(coef[1], coef[2])
 
 
-def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[RigidMotion, FitDiagnostics]:
-    """Estimate the motion aligning scaled centres with the family's centre approximant.
+def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Estimate the frame aligning scaled centres with the family's centre approximant.
 
-    The rotation starts from the circular mean of the step-direction ratios
-    between the two sequences and the translation from the mean leftover;
+    Fits APPROXIMANT_SCALE*centre ~ exp(i*phi)*approximant + c.  The
+    rotation phi starts from the circular mean of the step-direction ratios
+    between the two sequences and the translation c from the mean leftover;
     a least-squares polish then strips the decaying-tail contamination from
     both.  Residuals must shrink across the window, otherwise the parity
-    handling or indexing is off and FitError is raised.
+    handling or indexing is off and FitError is raised.  The result is
+    SpiralFrame(APPROXIMANT_SCALE*exp(-i*phi)/NORMALIZATION, c/APPROXIMANT_SCALE).
     """
     ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
     if len(ns) < 8:
@@ -210,10 +196,10 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
             f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
         )
 
-    motion = RigidMotion(phi, c)
-    table = distance_table(seq, motion.frame(), window[1], n_min=window[0])
+    frame = SpiralFrame(APPROXIMANT_SCALE * cmath.exp(-1j * phi) / NORMALIZATION, c / APPROXIMANT_SCALE)
+    table = distance_table(seq, frame, window[1], n_min=window[0])
     diag = FitDiagnostics(float(residuals.max()), _residual_slope(ns, residuals), parity_means(table.n, table.distance))
-    return motion, diag
+    return frame, diag
 
 
 #: Largest summed within-parity variance fit_motion_to_spiral accepts.
@@ -232,19 +218,19 @@ def _parity_centred(x: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def fit_motion_to_spiral(
-    seq: CenterSequence, window: tuple[int, int], init: RigidMotion
-) -> tuple[RigidMotion, FitDiagnostics]:
-    """Polish a motion until nearest distances to TARGET_SPIRAL are parity-constant.
+    seq: CenterSequence, window: tuple[int, int], init: SpiralFrame
+) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Polish a frame until nearest distances to TARGET_SPIRAL are parity-constant.
 
-    Runs _GAUSS_NEWTON_STEPS Gauss-Newton steps on (rotation, Re and Im
-    translation) from init (in practice the approximant fit) and raises
-    FitError if the objective, the summed within-parity variance of the
-    window's distance_table distances, ends above MAX_POLISH_OBJECTIVE.
-    A distance moves by Re(conj(nu)*dw) when its mapped centre w moves by
-    dw, where nu = (i*beta - 1)*exp(i*theta)/sqrt(1 + beta^2) is the inner
-    unit normal at the nearest angle theta; dw/drotation = -i*w,
-    dw/dRe translation = -exp(-i*rotation)/NORMALIZATION and
-    dw/dIm translation = i*dw/dRe translation.  Residuals and Jacobian
+    Runs _GAUSS_NEWTON_STEPS Gauss-Newton steps on the frame from init (in
+    practice the approximant fit), each updating K <- K*exp(i*alpha) and
+    z0 <- z0 + delta, and raises FitError if the objective, the summed
+    within-parity variance of the window's distance_table distances, ends
+    above MAX_POLISH_OBJECTIVE.  A distance moves by Re(conj(nu)*dw) when
+    its mapped centre w = K*(z - z0) moves by dw, where
+    nu = (i*beta - 1)*exp(i*theta)/sqrt(1 + beta^2) is the inner unit
+    normal at the nearest angle theta; dw/dalpha = i*w,
+    dw/dRe delta = -K and dw/dIm delta = -i*K.  Residuals and Jacobian
     columns, each minus its parity mean, are weighted by 1/sqrt(rows of that
     parity), so the squared residuals sum to the objective.  Used as an
     independent cross-check of the approximant fit; evaluations counts the
@@ -255,26 +241,24 @@ def fit_motion_to_spiral(
         raise ValueError("window length must be >= 16")
     centers = seq.slice(lo, hi)
     odd = np.arange(lo, hi + 1) % 2 == 1
-    motion = init
+    frame = init
     for _ in range(_GAUSS_NEWTON_STEPS):
-        frame = motion.frame()
         table = distance_table(seq, frame, hi, n_min=lo)
         w = frame.to_spiral(centers)
         normal = (1j * GROWTH_RATE - 1.0) * np.exp(1j * table.theta) / math.sqrt(1.0 + GROWTH_RATE**2)
-        dw_dre = -cmath.exp(-1j * motion.rotation) / NORMALIZATION
-        slopes = [(np.conj(normal) * dw).real for dw in (-1j * w, dw_dre, 1j * dw_dre)]
+        slopes = [(np.conj(normal) * dw).real for dw in (1j * w, -frame.K, -1j * frame.K)]
         centred = _parity_centred(np.column_stack([table.distance, *slopes]), odd)
         step = np.linalg.lstsq(centred[:, 1:], -centred[:, 0], rcond=None)[0].tolist()
-        motion = RigidMotion(motion.rotation + step[0], motion.translation + complex(step[1], step[2]))
+        frame = SpiralFrame(frame.K * cmath.exp(1j * step[0]), frame.z0 + complex(step[1], step[2]))
 
-    table = distance_table(seq, motion.frame(), hi, n_min=lo)
+    table = distance_table(seq, frame, hi, n_min=lo)
     residuals = _parity_centred(table.distance, odd)
     objective = float(residuals @ residuals)
     if objective > MAX_POLISH_OBJECTIVE:
         raise FitError(f"no consistent motion: best objective {objective:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
     residual_max = float(np.abs(table.distance).max())
     slope, means = _residual_slope(table.n, residuals), parity_means(table.n, table.distance)
-    return motion, FitDiagnostics(residual_max, slope, means, objective, _GAUSS_NEWTON_STEPS + 1)
+    return frame, FitDiagnostics(residual_max, slope, means, objective, _GAUSS_NEWTON_STEPS + 1)
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:

@@ -88,11 +88,11 @@ def test_criterion_07_power_sum_closed_forms():
 
 def test_criterion_08_approximant_residual_rate(p_seq, p_fit):
     start = time.perf_counter()
-    motion, _ = p_fit
+    frame, _ = p_fit
     ns = np.arange(500, 1001)
-    a = mt.APPROXIMANT_SCALE * p_seq.slice(500, 1000)
-    b = asym.approximant(ns, geo.Family.ALL_POLYGONS)
-    worst = float((ns * np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))).max())
+    # w*NORMALIZATION - b = exp(-i*phi)*(APPROXIMANT_SCALE*c - (exp(i*phi)*b + translation)), a unit factor
+    w = frame.to_spiral(p_seq.slice(500, 1000))
+    worst = float((ns * np.abs(w * mt.NORMALIZATION - asym.approximant(ns, geo.Family.ALL_POLYGONS))).max())
     elapsed = time.perf_counter() - start
     _report(
         "08-approximant-residual-rate",

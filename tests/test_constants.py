@@ -6,6 +6,7 @@ the correctly rounded values to paste into metrics.FRAMES and
 metrics.GROWTH_RATE_ERROR.
 """
 
+import cmath
 import math
 
 import pytest
@@ -97,11 +98,11 @@ class TestLiterals:
 class TestFitCrossCheck:
     @pytest.mark.parametrize("family", Family, ids=lambda family: f"{family}-centers_{family.value}")
     def test_fit_recovers_closed_rotation(self, family):
-        motion, _ = mt.fit_motion_to_approximant(centers(family, 50_000), (25_000, 50_000))
+        frame, _ = mt.fit_motion_to_approximant(centers(family, 50_000), (25_000, 50_000))
         with mp.workdps(30):
             phi = float(rotation(family))
-        assert abs(motion.rotation - phi) < 2e-13
-        assert abs(motion.frame().K - mt.FRAMES[family].K) < 2e-13
+        assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-1j * phi) / mt.NORMALIZATION) < 2e-13
+        assert abs(frame.K - mt.FRAMES[family].K) < 2e-13
 
 
 def summary(capsys, *argv) -> dict[str, float]:

@@ -13,22 +13,19 @@ finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 
 
-class TestRigidMotion:
+class TestSpiralFrame:
     @settings(max_examples=100, deadline=None)
     @given(angles, finite, finite, finite, finite)
-    def test_round_trip(self, phi, cx, cy, zx, zy):
-        frame = mt.RigidMotion(phi, complex(cx, cy)).frame()
+    def test_round_trip(self, alpha, cx, cy, zx, zy):
+        frame = mt.SpiralFrame(cmath.exp(1j * alpha), complex(cx, cy))
         z = complex(zx, zy)
         back = frame.from_spiral(frame.to_spiral(z))
         assert abs(back - z) < 1e-12 * max(1.0, abs(z), abs(frame.z0))
 
-    def test_rotation_normalized(self):
-        assert mt.RigidMotion(-math.pi, 0).rotation == pytest.approx(math.pi)
-        assert 0.0 <= mt.RigidMotion(7.0 * math.pi, 1j).rotation < 2.0 * math.pi
-
-    def test_unit_modulus_linear_part(self):
-        frame = mt.RigidMotion(1.2345, 3.0 - 4.0j).frame()
-        assert abs(frame.to_spiral(1.0) - frame.to_spiral(0.0)) == pytest.approx(1.0, abs=1e-15)
+    def test_unit_modulus_linear_part(self, p_fit, p_spiral_fit, q_fit, q_spiral_fit):
+        # both routes keep K on the unit circle, the polish through its K*exp(i*alpha) updates
+        for frame, _ in (p_fit, p_spiral_fit, q_fit, q_spiral_fit):
+            assert abs(abs(frame.K) - 1.0) <= 1e-15
 
 
 #: The closed-form rotations (pi/2)(gamma + ln 2) and that plus (pi/4) ln 2.
@@ -53,7 +50,6 @@ class TestNormalization:
         for family, frame in mt.FRAMES.items():
             expected = cmath.phase(mt.APPROXIMANT_SCALE) - PHI[family] - 0.25 * math.pi * math.log(s)
             assert cmath.exp(1j * expected) == pytest.approx(frame.K, abs=1e-15)
-            assert mt.RigidMotion(PHI[family], 0.0).frame().K == pytest.approx(frame.K, abs=1e-15)
 
 
 def _synthetic_sequence(n_max, phi, c, noise=None):
@@ -68,25 +64,25 @@ def _synthetic_sequence(n_max, phi, c, noise=None):
 class TestApproximantFit:
     def test_exact_model_recovery(self):
         seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j)
-        motion, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
-        assert motion.rotation == pytest.approx(0.7, abs=1e-10)
-        assert abs(motion.translation - (3.0 - 2.0j)) < 1e-10
+        frame, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
+        assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-0.7j) / mt.NORMALIZATION) < 1e-10
+        assert abs(mt.APPROXIMANT_SCALE) * abs(frame.z0 - (3.0 - 2.0j) / mt.APPROXIMANT_SCALE) < 1e-10
 
     def test_noisy_recovery(self):
         noise = lambda ns: np.exp(1j * 0.4) / ns
         seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j, noise=noise)
-        motion, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
-        assert abs(motion.rotation - 0.7) < 5.0 / 501.0
+        frame, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
+        assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-0.7j) / mt.NORMALIZATION) < 5.0 / 501.0
 
     def test_real_sequence_residual_rate(self, p_fit):
         _, diag = p_fit
         assert diag.residual_slope < -0.5
 
     def test_window_stability(self, p_seq, p_fit):
-        motion, _ = p_fit
+        frame, _ = p_fit
         other, _ = mt.fit_motion_to_approximant(p_seq, (1000, 2000))
-        assert abs(motion.rotation - other.rotation) < 1e-2
-        assert abs(motion.translation - other.translation) < 0.1
+        assert abs(frame.K - other.K) < 1e-2
+        assert abs(mt.APPROXIMANT_SCALE) * abs(frame.z0 - other.z0) < 0.1
 
     def test_window_too_short(self, p_seq):
         with pytest.raises(ValueError):
@@ -104,24 +100,25 @@ class TestSpiralFit:
         ns = np.arange(Family.ALL_POLYGONS.first_index, 500)
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
         w = mt.TARGET_SPIRAL.point(theta)
-        phi0, c0 = 1.234, 3.5 - 2.25j
-        seq = CenterSequence(Family.ALL_POLYGONS, mt.RigidMotion(phi0, c0).frame().from_spiral(w))
-        init = mt.RigidMotion(phi0 + 1e-4, c0 + 1e-4 - 1e-4j)
-        motion, diag = mt.fit_motion_to_spiral(seq, (300, 499), init=init)
+        phi0, c0, a, s = 1.234, 3.5 - 2.25j, mt.APPROXIMANT_SCALE, mt.NORMALIZATION
+        truth = mt.SpiralFrame(a * cmath.exp(-1j * phi0) / s, c0 / a)
+        seq = CenterSequence(Family.ALL_POLYGONS, truth.from_spiral(w))
+        init = mt.SpiralFrame(a * cmath.exp(-1j * (phi0 + 1e-4)) / s, (c0 + 1e-4 - 1e-4j) / a)
+        frame, diag = mt.fit_motion_to_spiral(seq, (300, 499), init=init)
         assert diag.objective <= 1e-10
-        assert motion.rotation == pytest.approx(phi0, abs=1e-6)
-        assert abs(motion.translation - c0) < 1e-6
+        assert abs(frame.K - truth.K) < 1e-6
+        assert abs(a) * abs(frame.z0 - truth.z0) < 1e-6
 
     def test_window_too_short(self, p_seq, p_fit):
-        motion, _ = p_fit
+        frame, _ = p_fit
         with pytest.raises(ValueError):
-            mt.fit_motion_to_spiral(p_seq, (500, 510), init=motion)
+            mt.fit_motion_to_spiral(p_seq, (500, 510), init=frame)
 
     def test_threshold_failure(self, monkeypatch, p_seq, p_fit):
-        motion, _ = p_fit
+        frame, _ = p_fit
         monkeypatch.setattr(mt, "MAX_POLISH_OBJECTIVE", 1e-30)
         with pytest.raises(mt.FitError):
-            mt.fit_motion_to_spiral(p_seq, (500, 1000), init=motion)
+            mt.fit_motion_to_spiral(p_seq, (500, 1000), init=frame)
 
 
 def _table(ns, distances):
@@ -237,17 +234,17 @@ class TestOddFamilyPipeline:
 
     def test_spiral_route_recovers_frame(self, q_spiral_fit):
         # the spiral route alone lands on the committed constants of FRAMES
-        motion, _ = q_spiral_fit
-        frame, committed = motion.frame(), mt.FRAMES[Family.ODD_POLYGONS]
+        frame, _ = q_spiral_fit
+        committed = mt.FRAMES[Family.ODD_POLYGONS]
         assert abs(cmath.phase(frame.K / committed.K)) < 1e-11
         assert abs(frame.z0 - committed.z0) < 1e-6
 
     def test_approximant_residual_rate(self, q_seq, q_fit):
-        motion, diag = q_fit
+        frame, diag = q_fit
         ns = np.arange(500, 1001)
-        a = mt.APPROXIMANT_SCALE * q_seq.slice(500, 1000)
-        b = approximant(ns, Family.ODD_POLYGONS)
-        residual = np.abs(a - (np.exp(1j * motion.rotation) * b + motion.translation))
+        # w*NORMALIZATION - b = exp(-i*phi)*(APPROXIMANT_SCALE*c - (exp(i*phi)*b + translation)), a unit factor
+        w = frame.to_spiral(q_seq.slice(500, 1000))
+        residual = np.abs(w * mt.NORMALIZATION - approximant(ns, Family.ODD_POLYGONS))
         assert float((ns * residual).max()) < 5.0
         assert diag.residual_slope < -0.9
 
