@@ -140,36 +140,17 @@ def _residual_slope(ns: np.ndarray, residuals: np.ndarray) -> float:
     return float(np.polyfit(np.log(ns), np.log(np.abs(residuals) + 1e-300), 1)[0])
 
 
-def _refine_linear(ns: np.ndarray, a: np.ndarray, b: np.ndarray, phi: float, c: complex) -> tuple[float, complex]:
-    """One linearized least-squares update of (phi, c).
-
-    The leftover a - (e^{i phi} b + c) is modelled as i*dphi*e^{i phi}*b
-    + dc plus twist-modulated decaying terms (u + v*(-1)^n) t^{i pi/2}/t;
-    fitting the tail explicitly keeps it from contaminating the rotation
-    and translation estimates.
-    """
-    eps = a - (np.exp(1j * phi) * b + c)
-    sign = np.where(ns % 2 == 0, 1.0, -1.0)
-    t = ns - 0.5
-    tail = np.exp(0.5j * math.pi * np.log(t)) / t
-    # the rotation, then the real and imaginary parts of each complex unknown: 1, the parity tail, the tail
-    unknowns = (np.ones_like(a), sign * tail, tail)
-    cols = np.column_stack([1j * np.exp(1j * phi) * b] + [u for col in unknowns for u in (col, 1j * col)])
-    design = np.concatenate([cols.real, cols.imag])
-    coef, *_ = np.linalg.lstsq(design, np.concatenate([eps.real, eps.imag]), rcond=None)
-    return phi + float(coef[0]), c + complex(coef[1], coef[2])
-
-
 def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
     """Estimate the frame aligning scaled centres with the family's centre approximant.
 
     Fits APPROXIMANT_SCALE*centre ~ exp(i*phi)*approximant + c.  The
     rotation phi starts from the circular mean of the step-direction ratios
-    between the two sequences and the translation c from the mean leftover;
-    a least-squares polish then strips the decaying-tail contamination from
-    both.  Residuals must shrink across the window, otherwise the parity
-    handling or indexing is off and FitError is raised.  The result is
-    SpiralFrame(APPROXIMANT_SCALE*exp(-i*phi)/NORMALIZATION, c/APPROXIMANT_SCALE).
+    between the two sequences.  Two least-squares passes on unit-norm
+    columns each step phi and solve for c outright; they fit the decaying
+    twist terms (u + v*(-1)^n) * t^(i*pi/2)/t, t = n - 1/2, too, so that
+    these contaminate neither.  Residuals must shrink across the window,
+    otherwise the parity handling or indexing is off and FitError is raised.
+    The result is SpiralFrame(APPROXIMANT_SCALE*exp(-i*phi)/NORMALIZATION, c/APPROXIMANT_SCALE).
     """
     ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
     if len(ns) < 8:
@@ -184,9 +165,20 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
         raise FitError(f"step-magnitude mismatch {drift:.3e} on window {window}: index drift suspected")
     ratios = ratios / np.abs(ratios)
     phi = float(np.angle(ratios.mean()))
-    c = complex((a - np.exp(1j * phi) * b).mean())
+    t = ns - 0.5
+    tail = np.exp(0.5j * math.pi * np.log(t)) / t
+    # the real and imaginary parts of each complex unknown: the translation, the parity tail, the tail
+    unknowns = (np.ones_like(a), np.where(ns % 2 == 0, 1.0, -1.0) * tail, tail)
+    fixed = np.column_stack([u for col in unknowns for u in (col, 1j * col)])
     for _ in range(2):
-        phi, c = _refine_linear(ns, a, b, phi, c)
+        rotated = np.exp(1j * phi) * b
+        cols = np.column_stack([1j * rotated, fixed])
+        design = np.concatenate([cols.real, cols.imag])
+        eps = a - rotated
+        # unscaled, the tail columns are up to 1e14 times shorter than the rotation's and lstsq's rcond drops them
+        norms = np.linalg.norm(design, axis=0)
+        coef = np.linalg.lstsq(design / norms, np.concatenate([eps.real, eps.imag]), rcond=None)[0] / norms
+        phi, c = phi + float(coef[0]), complex(coef[1], coef[2])
     residuals = np.abs(a - (np.exp(1j * phi) * b + c))
 
     third = len(ns) // 3

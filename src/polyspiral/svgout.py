@@ -68,7 +68,8 @@ class SvgScene:
 
 
 def _num(x: float) -> str:
-    return f"{x:.6g}"
+    # + 0.0 turns -0.0 into 0.0, so a coordinate negated from 0 is spelled "0", as the CSV writer spells it
+    return f"{x + 0.0:.6g}"
 
 
 def scene_from_chain(chain: list[np.ndarray], spiral_samples: np.ndarray | None = None) -> SvgScene:

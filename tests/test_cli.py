@@ -166,6 +166,9 @@ class TestRender:
         assert code == 0
         root = ET.fromstring(out)
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polygon")) == 1
+        # the centre dot sits at y = 0, which the y-flip must not spell "-0"
+        words = [word for e in root.iter() for v in e.attrib.values() for word in v.replace(",", " ").split()]
+        assert "-0" not in words
 
     def test_overlay_adds_spiral_path(self, capsys):
         code, out, _ = run(capsys, "render", "--n-max", "30", "--overlay")

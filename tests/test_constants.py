@@ -7,6 +7,7 @@ metrics.GROWTH_RATE_ERROR.
 """
 
 import cmath
+import functools
 import math
 
 import pytest
@@ -95,14 +96,22 @@ class TestLiterals:
         assert abs(mt.GROWTH_RATE_ERROR - float(error)) <= math.ulp(float(error)), f"use {float(error)!r}"
 
 
+@functools.cache
+def long_sequence(family: Family):
+    """One 50000-centre sequence per family, shared by every window of TestFitCrossCheck."""
+    return centers(family, 50_000)
+
+
 class TestFitCrossCheck:
+    @pytest.mark.parametrize("window", [(2_500, 5_000), (5_000, 10_000), (25_000, 50_000)], ids=lambda w: "%d:%d" % w)
     @pytest.mark.parametrize("family", Family, ids=lambda family: f"{family}-centers_{family.value}")
-    def test_fit_recovers_closed_rotation(self, family):
-        frame, _ = mt.fit_motion_to_approximant(centers(family, 50_000), (25_000, 50_000))
+    def test_fit_recovers_closed_rotation(self, family, window):
+        frame, _ = mt.fit_motion_to_approximant(long_sequence(family), window)
         with mp.workdps(30):
             phi = float(rotation(family))
-        assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-1j * phi) / mt.NORMALIZATION) < 2e-13
-        assert abs(frame.K - mt.FRAMES[family].K) < 2e-13
+        assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-1j * phi) / mt.NORMALIZATION) <= 1e-14
+        assert abs(frame.K - mt.FRAMES[family].K) <= 1e-14
+        assert abs(frame.z0 - mt.FRAMES[family].z0) <= 1e-7
 
 
 def summary(capsys, *argv) -> dict[str, float]:
