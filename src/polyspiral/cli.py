@@ -165,10 +165,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     seq = _sequence(args)
     window = fit_window(args)
+    fit = {"approximant": fit_motion_to_approximant, "spiral": fit_motion_to_spiral}[args.route]
     try:
-        frame, diag = fit_motion_to_approximant(seq, window)
-        if args.route == "spiral":
-            frame, diag = fit_motion_to_spiral(seq, window, init=frame)
+        frame, diag = fit(seq, window)
     except ValueError as exc:  # the fits reject windows too short for them
         raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
     # the frame as APPROXIMANT_SCALE * centre ~ exp(i*rotation) * approximant + translation

@@ -6,9 +6,10 @@ distance table, Richardson extrapolation and the inner-side classification
 measure the centres in those coordinates.  Two fit routes estimate the
 same frame from a window of centres and serve as cross-checks of the
 constants: a direct fit against the family's closed-form centre
-approximant, and a Gauss-Newton polish of a given frame until the
-nearest-distance profile is constant within each parity class.  Both
-return a SpiralFrame, the one type of a motion.
+approximant, and a linear fit by powers of the side count whose exponents
+come from the growth rate 4/pi alone, with no approximant constant.  Both
+return a SpiralFrame, the one type of a motion, and share no constant, so
+their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ class DistanceTable:
 class FitDiagnostics:
     """How a motion fit ended.
 
-    residual_slope is the slope of log|residual| against log n over the
-    window, how fast the final residuals decay; evaluations counts the
-    objective evaluations, 0 for a fit without an objective.
+    residual_max and residual_slope describe the fit's final residuals,
+    the slope being that of log|residual| against log n over the window;
+    per_parity_mean holds the parity means of the window's distances in
+    the fitted frame.  Neither fit has an objective, so objective is always
+    None and evaluations always 0.  They remain because fit's JSON prints
+    them under stable keys and perfbench/tracer.py reads evaluations.
     """
 
     residual_max: float
@@ -136,8 +140,28 @@ class FitDiagnostics:
     evaluations: int = 0
 
 
-def _residual_slope(ns: np.ndarray, residuals: np.ndarray) -> float:
-    return float(np.polyfit(np.log(ns), np.log(np.abs(residuals) + 1e-300), 1)[0])
+def _diagnosed(
+    seq: CenterSequence, window: tuple[int, int], frame: SpiralFrame, a: np.ndarray, residuals: np.ndarray
+) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Both fits' end: check the residuals, then measure the frame on the window.
+
+    a is what the fit matched over the window and residuals the moduli of
+    its misfit.  Residuals above 1e-9*max|a| that grow from the window's
+    first third to its last mean that the model does not hold there, and
+    raise FitError.  residual_slope is fitted with each residual raised to
+    at least the rounding of its a: residuals at that level may round to 0.
+    """
+    ns = np.arange(window[0], window[1] + 1)
+    third = len(ns) // 3
+    if np.max(residuals) > 1e-9 * np.max(np.abs(a)) and np.max(residuals[-third:]) >= np.max(residuals[:third]):
+        raise FitError(
+            f"residual spread grows across window {window}: "
+            f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
+        )
+    table = distance_table(seq, frame, window[1], n_min=window[0])
+    rounding = np.finfo(float).eps * np.abs(a)
+    slope = float(np.polyfit(np.log(ns), np.log(np.maximum(residuals, rounding)), 1)[0])
+    return frame, FitDiagnostics(float(residuals.max()), slope, parity_means(table.n, table.distance))
 
 
 def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
@@ -179,78 +203,46 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
         norms = np.linalg.norm(design, axis=0)
         coef = np.linalg.lstsq(design / norms, np.concatenate([eps.real, eps.imag]), rcond=None)[0] / norms
         phi, c = phi + float(coef[0]), complex(coef[1], coef[2])
-    residuals = np.abs(a - (np.exp(1j * phi) * b + c))
-
-    third = len(ns) // 3
-    if np.max(residuals) > 1e-9 * np.max(np.abs(a)) and np.max(residuals[-third:]) >= np.max(residuals[:third]):
-        raise FitError(
-            f"residual spread grows across window {window}: "
-            f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
-        )
-
     frame = SpiralFrame(APPROXIMANT_SCALE * cmath.exp(-1j * phi) / NORMALIZATION, c / APPROXIMANT_SCALE)
-    table = distance_table(seq, frame, window[1], n_min=window[0])
-    diag = FitDiagnostics(float(residuals.max()), _residual_slope(ns, residuals), parity_means(table.n, table.distance))
-    return frame, diag
+    return _diagnosed(seq, window, frame, a, np.abs(a - (np.exp(1j * phi) * b + c)))
 
 
-#: Largest summed within-parity variance fit_motion_to_spiral accepts.
-MAX_POLISH_OBJECTIVE = 1e-4
+def fit_motion_to_spiral(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Estimate the frame from the growth rate alone, with no approximant constant.
 
-#: Gauss-Newton steps of fit_motion_to_spiral; from the approximant fit two already reach float64 noise.
-_GAUSS_NEWTON_STEPS = 4
+    Fits the centres by c + sum over q < Q of (A_q + B_q*(-1)^n) * t^(2 - q + 2i/GROWTH_RATE),
+    where t is the side count minus 1/2: n - 1/2 for the all family and
+    2n + 1/2 for the odd one.  The fit is linear, on unit-norm columns.
+    Once rotated by K = exp(-i*(arg A_0 - ln|A_0|/GROWTH_RATE)), the
+    leading term lies on r = exp(GROWTH_RATE*theta), so the result is
+    SpiralFrame(K, c).  Q is 6 while the window's last side count is at most
+    2000, and 4 beyond.  On later windows the extra columns grow nearly
+    collinear, and the centres' float64 rounding, which grows like t^2,
+    outweighs what the extra terms gain.  At Q = 6 the fit has 13 complex
+    unknowns, so the window needs at least 16 indices.
 
-
-def _parity_centred(x: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Each row of x minus the mean of the rows of its parity, divided by the root of their count."""
-    out = np.empty_like(x)
-    for sel in (odd, ~odd):
-        out[sel] = (x[sel] - x[sel].mean(axis=0)) / math.sqrt(np.count_nonzero(sel))
-    return out
-
-
-def fit_motion_to_spiral(
-    seq: CenterSequence, window: tuple[int, int], init: SpiralFrame
-) -> tuple[SpiralFrame, FitDiagnostics]:
-    """Polish a frame until nearest distances to TARGET_SPIRAL are parity-constant.
-
-    Runs _GAUSS_NEWTON_STEPS Gauss-Newton steps on the frame from init (in
-    practice the approximant fit), each updating K <- K*exp(i*alpha) and
-    z0 <- z0 + delta, and raises FitError if the objective, the summed
-    within-parity variance of the window's distance_table distances, ends
-    above MAX_POLISH_OBJECTIVE.  A distance moves by Re(conj(nu)*dw) when
-    its mapped centre w = K*(z - z0) moves by dw, where
-    nu = (i*beta - 1)*exp(i*theta)/sqrt(1 + beta^2) is the inner unit
-    normal at the nearest angle theta; dw/dalpha = i*w,
-    dw/dRe delta = -K and dw/dIm delta = -i*K.  Residuals and Jacobian
-    columns, each minus its parity mean, are weighted by 1/sqrt(rows of that
-    parity), so the squared residuals sum to the objective.  Used as an
-    independent cross-check of the approximant fit; evaluations counts the
-    distance_table calls.
+    t is divided by its last value t_1 first, which keeps the columns'
+    phases accurate.  This multiplies A_0 by t_1^(2 + 2i/GROWTH_RATE), a
+    scaling that maps the spiral onto itself, so K is unchanged.  A second
+    pass fits the first pass's misfit: the rounding of a pass scales with
+    what it fits, the centres and then the small misfit.
     """
-    lo, hi = window
-    if hi - lo + 1 < 16:
+    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
+    if len(ns) < 16:
         raise ValueError("window length must be >= 16")
-    centers = seq.slice(lo, hi)
-    odd = np.arange(lo, hi + 1) % 2 == 1
-    frame = init
-    for _ in range(_GAUSS_NEWTON_STEPS):
-        table = distance_table(seq, frame, hi, n_min=lo)
-        w = frame.to_spiral(centers)
-        normal = (1j * GROWTH_RATE - 1.0) * np.exp(1j * table.theta) / math.sqrt(1.0 + GROWTH_RATE**2)
-        slopes = [(np.conj(normal) * dw).real for dw in (1j * w, -frame.K, -1j * frame.K)]
-        centred = _parity_centred(np.column_stack([table.distance, *slopes]), odd)
-        step = np.linalg.lstsq(centred[:, 1:], -centred[:, 0], rcond=None)[0].tolist()
-        frame = SpiralFrame(frame.K * cmath.exp(1j * step[0]), frame.z0 + complex(step[1], step[2]))
-
-    table = distance_table(seq, frame, hi, n_min=lo)
-    residuals = _parity_centred(table.distance, odd)
-    objective = float(residuals @ residuals)
-    if objective > MAX_POLISH_OBJECTIVE:
-        raise FitError(f"no consistent motion: best objective {objective:.3e} > {MAX_POLISH_OBJECTIVE:.3e}")
-    residual_max = float(np.abs(table.distance).max())
-    slope, means = _residual_slope(table.n, residuals), parity_means(table.n, table.distance)
-    return frame, FitDiagnostics(residual_max, slope, means, objective, _GAUSS_NEWTON_STEPS + 1)
+    sides = seq.family.sides(window[1])[-len(ns) :]
+    t = (sides - 0.5) / (sides[-1] - 0.5)
+    sign = np.where(ns % 2 == 0, 1.0, -1.0)
+    powers = [t ** (2 - q + 2j / GROWTH_RATE) for q in range(6 if sides[-1] <= 2000 else 4)]
+    design = np.column_stack([np.ones_like(centers), *(p * s for p in powers for s in (1.0, sign))])
+    norms = np.linalg.norm(design, axis=0)
+    design /= norms
+    coef = np.zeros(design.shape[1], dtype=complex)
+    for _ in range(2):
+        coef += np.linalg.lstsq(design, centers - design @ coef, rcond=None)[0]
+    c, a0 = coef[:2] / norms[:2]
+    frame = SpiralFrame(cmath.exp(-1j * (cmath.phase(a0) - math.log(abs(a0)) / GROWTH_RATE)), complex(c))
+    return _diagnosed(seq, window, frame, centers, np.abs(centers - design @ coef))
 
 
 def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> DistanceTable:

@@ -32,9 +32,8 @@ def p_table(p_seq):
 
 
 @pytest.fixture(scope="session")
-def p_spiral_fit(p_seq, p_fit):
-    motion, _ = p_fit
-    return fit_motion_to_spiral(p_seq, (500, 1000), init=motion)
+def p_spiral_fit(p_seq):
+    return fit_motion_to_spiral(p_seq, (500, 1000))
 
 
 @pytest.fixture(scope="session")
@@ -43,9 +42,8 @@ def q_fit(q_seq):
 
 
 @pytest.fixture(scope="session")
-def q_spiral_fit(q_seq, q_fit):
-    motion, _ = q_fit
-    return fit_motion_to_spiral(q_seq, (500, 1000), init=motion)
+def q_spiral_fit(q_seq):
+    return fit_motion_to_spiral(q_seq, (500, 1000))
 
 
 @pytest.fixture(scope="session")

@@ -150,17 +150,24 @@ def test_criterion_12_inner_side(p_table, q_table):
 
 
 def test_criterion_13_cross_route_agreement(p_fit, p_spiral_fit, q_fit, q_spiral_fit):
+    # the routes share no constant: one fits the approximant, the other powers of the side count from 4/pi alone
     fits = {"all": (p_fit, p_spiral_fit), "odd": (q_fit, q_spiral_fit)}
+    frames = {family: (abs(a[0].K - s[0].K), abs(a[0].z0 - s[0].z0)) for family, (a, s) in fits.items()}
+    # a distance moves by at most |dz0| + |dK|*|w|, |w| <= 2.6e5 here: 4.6e-6 at the frame bounds
     diffs = {
         f"{family}-{parity.value}": abs(approx[1].per_parity_mean[parity] - spiral[1].per_parity_mean[parity])
         for family, (approx, spiral) in fits.items()
         for parity in Parity
     }
-    ok = all(v <= 5e-3 for v in diffs.values())
+    ok = all(dk <= 1e-11 and dz <= 2e-6 for dk, dz in frames.values()) and all(v <= 1e-5 for v in diffs.values())
     _report(
         "13-cross-route-agreement",
         ok,
-        "parity mean differences " + ", ".join(f"{k} {v:.2e}" for k, v in diffs.items()) + " (tol 5e-3)",
+        "frame differences on 500:1000 "
+        + ", ".join(f"{k} |dK| {dk:.2e} |dz0| {dz:.2e}" for k, (dk, dz) in frames.items())
+        + " (tol 1e-11, 2e-6); parity mean differences "
+        + ", ".join(f"{k} {v:.2e}" for k, v in diffs.items())
+        + " (tol 1e-5)",
     )
 
 

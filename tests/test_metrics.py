@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyspiral import metrics as mt
 from polyspiral.asymptotics import EULER_GAMMA, Parity, approximant
-from polyspiral.geometry import CenterSequence, Family
+from polyspiral.geometry import CenterSequence, Family, centers
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
@@ -23,7 +23,7 @@ class TestSpiralFrame:
         assert abs(back - z) < 1e-12 * max(1.0, abs(z), abs(frame.z0))
 
     def test_unit_modulus_linear_part(self, p_fit, p_spiral_fit, q_fit, q_spiral_fit):
-        # both routes keep K on the unit circle, the polish through its K*exp(i*alpha) updates
+        # both routes build K as a unit phase: the approximant's from its rotation, the spiral route's from A_0
         for frame, _ in (p_fit, p_spiral_fit, q_fit, q_spiral_fit):
             assert abs(abs(frame.K) - 1.0) <= 1e-15
 
@@ -97,28 +97,37 @@ class TestApproximantFit:
 
 class TestSpiralFit:
     def test_synthetic_points_on_spiral(self):
+        # the points are the model's pure A_0 term, each about 2e-15 relative off the spiral (the rounding of
+        # TARGET_SPIRAL.point at theta ~ 10); Q = 6 on this narrow window amplifies that in z0 to 1.1e-4
         ns = np.arange(Family.ALL_POLYGONS.first_index, 500)
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
         w = mt.TARGET_SPIRAL.point(theta)
         phi0, c0, a, s = 1.234, 3.5 - 2.25j, mt.APPROXIMANT_SCALE, mt.NORMALIZATION
         truth = mt.SpiralFrame(a * cmath.exp(-1j * phi0) / s, c0 / a)
         seq = CenterSequence(Family.ALL_POLYGONS, truth.from_spiral(w))
-        init = mt.SpiralFrame(a * cmath.exp(-1j * (phi0 + 1e-4)) / s, (c0 + 1e-4 - 1e-4j) / a)
-        frame, diag = mt.fit_motion_to_spiral(seq, (300, 499), init=init)
-        assert diag.objective <= 1e-10
-        assert abs(frame.K - truth.K) < 1e-6
-        assert abs(a) * abs(frame.z0 - truth.z0) < 1e-6
+        frame, _ = mt.fit_motion_to_spiral(seq, (300, 499))
+        assert abs(frame.K - truth.K) < 1e-10
+        assert abs(a) * abs(frame.z0 - truth.z0) < 5e-4
 
-    def test_window_too_short(self, p_seq, p_fit):
-        frame, _ = p_fit
+    def test_window_too_short(self, p_seq):
         with pytest.raises(ValueError):
-            mt.fit_motion_to_spiral(p_seq, (500, 510), init=frame)
+            mt.fit_motion_to_spiral(p_seq, (500, 510))
 
-    def test_threshold_failure(self, monkeypatch, p_seq, p_fit):
-        frame, _ = p_fit
-        monkeypatch.setattr(mt, "MAX_POLISH_OBJECTIVE", 1e-30)
-        with pytest.raises(mt.FitError):
-            mt.fit_motion_to_spiral(p_seq, (500, 1000), init=frame)
+    @pytest.mark.parametrize(
+        "window", [(100, 200), (500, 1000), (500, 2000), (2500, 5000), (5000, 10000)], ids=lambda w: f"{w[0]}:{w[1]}"
+    )
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_spiral_route_recovers_frame(self, family, window):
+        # from 4/pi alone, with 6 terms up to side count 2000 and 4 beyond, the route lands on FRAMES
+        seq = centers(family, window[1])
+        committed = mt.FRAMES[family]
+        frame, _ = mt.fit_motion_to_spiral(seq, window)
+        assert abs(frame.K - committed.K) < 1e-11
+        assert abs(frame.z0 - committed.z0) < 1e-6
+        if window == (100, 200):  # where the approximant route is still off by its truncated tail
+            approx, _ = mt.fit_motion_to_approximant(seq, window)
+            assert abs(frame.K - committed.K) < abs(approx.K - committed.K)
+            assert abs(frame.z0 - committed.z0) < abs(approx.z0 - committed.z0)
 
 
 def _table(ns, distances):
@@ -228,17 +237,6 @@ class TestInnerSide:
 
 
 class TestOddFamilyPipeline:
-    def test_fit_objective(self, q_spiral_fit):
-        _, diag = q_spiral_fit
-        assert diag.objective <= 1e-10
-
-    def test_spiral_route_recovers_frame(self, q_spiral_fit):
-        # the spiral route alone lands on the committed constants of FRAMES
-        frame, _ = q_spiral_fit
-        committed = mt.FRAMES[Family.ODD_POLYGONS]
-        assert abs(cmath.phase(frame.K / committed.K)) < 1e-11
-        assert abs(frame.z0 - committed.z0) < 1e-6
-
     def test_approximant_residual_rate(self, q_seq, q_fit):
         frame, diag = q_fit
         ns = np.arange(500, 1001)
