@@ -36,7 +36,7 @@ from .metrics import (
     parity_means,
     richardson_extrapolate,
 )
-from .spiral import BLOCK
+from .spiral import BLOCK, nearest_distances
 from .svgout import scene_from_chain
 
 MAX_N = 10**6
@@ -180,8 +180,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "translation_im": translation.imag,
         "residual_max": diag.residual_max,
         "residual_slope": diag.residual_slope,
-        "objective": diag.objective,
-        "evaluations": diag.evaluations,
         "parity_mean": {p.value: v for p, v in diag.per_parity_mean.items()},
     }
     _write(args.out, json.dumps(info, indent=2, sort_keys=True) + "\n")
@@ -189,8 +187,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _summary(args: argparse.Namespace, table: DistanceTable) -> list[tuple[str, float]]:
-    family = Family(args.family)
-    targets = {parity: limit_distance(family, parity) for parity in Parity}
+    targets = {parity: limit_distance(Family(args.family), parity) for parity in Parity}
     tail = table.select(table.n >= int(0.8 * table.n[-1]))
     raw = parity_means(tail.n, tail.distance)
     pairs = []
@@ -206,9 +203,8 @@ def _summary(args: argparse.Namespace, table: DistanceTable) -> list[tuple[str, 
             if Parity.EVEN in ext and Parity.ODD in ext:
                 pairs.append(("extrapolated_combined_mean", 0.5 * (ext[Parity.EVEN] + ext[Parity.ODD])))
                 pairs.append(("extrapolated_alternation", 0.5 * (ext[Parity.EVEN] - ext[Parity.ODD])))
-    if family is Family.ALL_POLYGONS:
-        pairs.append(("target_combined_mean", 0.5 * (targets[Parity.EVEN] + targets[Parity.ODD])))
-        pairs.append(("target_alternation", 0.5 * (targets[Parity.EVEN] - targets[Parity.ODD])))
+    pairs.append(("target_combined_mean", 0.5 * (targets[Parity.EVEN] + targets[Parity.ODD])))
+    pairs.append(("target_alternation", 0.5 * (targets[Parity.EVEN] - targets[Parity.ODD])))
     pairs.append(("inner_side_fraction", inner_side_fraction(table)))
     return pairs
 
@@ -230,7 +226,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     spiral_samples = None
     if args.overlay:
         frame = FRAMES[Family.ALL_POLYGONS]
-        thetas = distance_table(centers(Family.ALL_POLYGONS, args.n_max), frame, args.n_max).theta
+        _, thetas = nearest_distances(TARGET_SPIRAL, frame.to_spiral(centers(Family.ALL_POLYGONS, args.n_max).centers))
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
         spiral_samples = frame.from_spiral(TARGET_SPIRAL.point(grid))
     scene = scene_from_chain(chain, spiral_samples)

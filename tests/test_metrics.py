@@ -94,6 +94,26 @@ class TestApproximantFit:
         with pytest.raises(mt.FitError):
             mt.fit_motion_to_approximant(shifted, (500, 1000))
 
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_index_drift_fails_on_every_window(self, family):
+        # one rule from the first index on: centres shifted by an index either way read n*||da/db| - 1| near 1
+        seq, first = centers(family, 10001), family.first_index
+        later = CenterSequence(family, seq.centers[1:])
+        earlier = CenterSequence(family, np.concatenate(([0.0], seq.centers)))  # the polygon before first_index
+        for shifted in (later, earlier):
+            for window in ((first, first + 7), (20, 60), (100, 200), (100, 10000)):
+                with pytest.raises(mt.FitError, match="index drift"):
+                    mt.fit_motion_to_approximant(shifted, window)
+
+    @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
+    def test_aligned_windows_pass_the_drift_rule(self, family):
+        # every start below 400, ends at +7, +20, 2x, 5x and 10x: aligned centres read at most 0.148 against 0.5
+        seq = centers(family, 3990)
+        for start in range(family.first_index, 400):
+            for end in {start + 7, start + 20, 2 * start, 5 * start, 10 * start}:
+                if end - start >= 7:
+                    mt.fit_motion_to_approximant(seq, (start, end))
+
 
 class TestSpiralFit:
     def test_synthetic_points_on_spiral(self):
@@ -141,7 +161,7 @@ class TestSpiralFit:
 
 def _table(ns, distances):
     ns = np.asarray(ns, dtype=np.int64)
-    return mt.DistanceTable(ns, np.asarray(distances, dtype=float), np.zeros(len(ns)))
+    return mt.DistanceTable(ns, np.asarray(distances, dtype=float))
 
 
 def _between(table, lo, hi):
