@@ -37,7 +37,6 @@ from .geometry import (
 from .metrics import (
     APPROXIMANT_SCALE,
     FRAMES,
-    DistanceTable,
     FitError,
     SpiralFrame,
     TARGET_SPIRAL,
@@ -55,7 +54,6 @@ __all__ = [
     "APPROXIMANT_SCALE",
     "Approximant",
     "CenterSequence",
-    "DistanceTable",
     "EULER_GAMMA",
     "FRAMES",
     "Family",

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import floattext
 from .asymptotics import Parity, limit_distance
-from .geometry import CenterSequence, Family, build_chain, centers, centers_all, centers_odd
+from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     APPROXIMANT_SCALE,
     FRAMES,
     NORMALIZATION,
-    DistanceTable,
     FitError,
     TARGET_SPIRAL,
     distance_table,
@@ -186,50 +185,51 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary(args: argparse.Namespace, table: DistanceTable) -> list[tuple[str, float]]:
+def _summary(
+    args: argparse.Namespace, n: np.ndarray, distance: np.ndarray, extrapolated: np.ndarray
+) -> list[tuple[str, float]]:
     targets = {parity: limit_distance(Family(args.family), parity) for parity in Parity}
-    tail = table.select(table.n >= int(0.8 * table.n[-1]))
-    raw = parity_means(tail.n, tail.distance)
+    tail = n >= int(0.8 * n[-1])
+    raw = parity_means(n[tail], distance[tail])
     pairs = []
     for parity, mean in raw.items():
         pairs.append((f"raw_mean_{parity.value}", mean))
         pairs.append((f"target_{parity.value}", targets[parity]))
     if args.extrapolate:
-        have = table.n[~np.isnan(table.extrapolated)]
+        have = n[~np.isnan(extrapolated)]
         if len(have):
-            tail = table.select(table.n >= int(0.8 * have[-1]))
-            ext = parity_means(tail.n, tail.extrapolated)
+            tail = n >= int(0.8 * have[-1])
+            ext = parity_means(n[tail], extrapolated[tail])
             pairs += [(f"extrapolated_mean_{parity.value}", mean) for parity, mean in ext.items()]
             if Parity.EVEN in ext and Parity.ODD in ext:
                 pairs.append(("extrapolated_combined_mean", 0.5 * (ext[Parity.EVEN] + ext[Parity.ODD])))
                 pairs.append(("extrapolated_alternation", 0.5 * (ext[Parity.EVEN] - ext[Parity.ODD])))
     pairs.append(("target_combined_mean", 0.5 * (targets[Parity.EVEN] + targets[Parity.ODD])))
     pairs.append(("target_alternation", 0.5 * (targets[Parity.EVEN] - targets[Parity.ODD])))
-    pairs.append(("inner_side_fraction", inner_side_fraction(table)))
+    pairs.append(("inner_side_fraction", inner_side_fraction(distance)))
     return pairs
 
 
 def cmd_distances(args: argparse.Namespace) -> int:
-    table = distance_table(_sequence(args), FRAMES[Family(args.family)], args.n_max)
-    if args.extrapolate:
-        table = richardson_extrapolate(table)
-    summary = _summary(args, table)
-    assert np.isfinite(table.distance).all() and not np.isinf(table.extrapolated).any()
-    columns = (table.n, table.distance, table.extrapolated)
+    seq = _sequence(args)
+    n = np.arange(seq.first_index, args.n_max + 1)
+    distance = distance_table(seq, FRAMES[Family(args.family)], args.n_max)
+    extrapolated = richardson_extrapolate(n, distance) if args.extrapolate else np.full(len(n), np.nan)
+    summary = _summary(args, n, distance, extrapolated)
+    assert np.isfinite(distance).all() and not np.isinf(extrapolated).any()
+    columns = (n, distance, extrapolated)
     footer = "".join(f"# {key}={_fmt(value)}\n" for key, value in summary)
     _write_table(args, "distances", columns, "n,parity,distance,extrapolated\n", {"summary": dict(summary)}, footer)
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    chain = build_chain(Family.ALL_POLYGONS, args.n_max)
-    spiral_samples = None
+    scene = scene_from_chain(build_chain(Family.ALL_POLYGONS, args.n_max))
     if args.overlay:
         frame = FRAMES[Family.ALL_POLYGONS]
-        _, thetas = nearest_distances(TARGET_SPIRAL, frame.to_spiral(centers(Family.ALL_POLYGONS, args.n_max).centers))
+        _, thetas = nearest_distances(TARGET_SPIRAL, frame.to_spiral(np.array(scene.centers)))
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
-        spiral_samples = frame.from_spiral(TARGET_SPIRAL.point(grid))
-    scene = scene_from_chain(chain, spiral_samples)
+        scene.spiral = frame.from_spiral(TARGET_SPIRAL.point(grid))
     _write(args.out, scene.to_svg())
     return 0
 

@@ -72,6 +72,6 @@ def _num(x: float) -> str:
     return f"{x + 0.0:.6g}"
 
 
-def scene_from_chain(chain: list[np.ndarray], spiral_samples: np.ndarray | None = None) -> SvgScene:
-    """The chain's polygons, a dot at each vertex mean and the optional spiral."""
-    return SvgScene(polygons=chain, centers=[complex(v.mean()) for v in chain], spiral=spiral_samples)
+def scene_from_chain(chain: list[np.ndarray]) -> SvgScene:
+    """The chain's polygons and a dot at each vertex mean; a caller may set the spiral after."""
+    return SvgScene(polygons=chain, centers=[complex(v.mean()) for v in chain], spiral=None)

@@ -1,5 +1,9 @@
-"""Shared fixtures: the expensive sequences, fits and tables are built once."""
+"""Shared fixtures: the expensive sequences, fits and tables are built once.
 
+A table is its index and distance columns, (n, distance).
+"""
+
+import numpy as np
 import pytest
 
 from polyspiral.geometry import Family, centers
@@ -28,7 +32,7 @@ def p_fit(p_seq):
 
 @pytest.fixture(scope="session")
 def p_table(p_seq):
-    return distance_table(p_seq, FRAMES[Family.ALL_POLYGONS], 2000)
+    return np.arange(p_seq.first_index, 2001), distance_table(p_seq, FRAMES[Family.ALL_POLYGONS], 2000)
 
 
 @pytest.fixture(scope="session")
@@ -48,4 +52,4 @@ def q_spiral_fit(q_seq):
 
 @pytest.fixture(scope="session")
 def q_table(q_seq):
-    return distance_table(q_seq, FRAMES[Family.ODD_POLYGONS], 2000)
+    return np.arange(q_seq.first_index, 2001), distance_table(q_seq, FRAMES[Family.ODD_POLYGONS], 2000)

@@ -115,13 +115,13 @@ def test_criterion_10_offset_curve_distance():
 
 def test_criterion_11_headline_constants(p_table, q_table):
     start = time.perf_counter()
-    p_ex = mt.richardson_extrapolate(p_table)
-    p_tail = p_ex.select((p_ex.n >= 900) & (p_ex.n <= 1000))
-    p_means = mt.parity_means(p_tail.n, p_tail.extrapolated)
+    p_n, p_d = p_table
+    p_tail = (p_n >= 900) & (p_n <= 1000)
+    p_means = mt.parity_means(p_n[p_tail], mt.richardson_extrapolate(p_n, p_d)[p_tail])
     even, odd = p_means[Parity.EVEN], p_means[Parity.ODD]
 
-    q_ex = mt.richardson_extrapolate(q_table)
-    q_sel = q_ex.extrapolated[(q_ex.n >= 900) & (q_ex.n <= 1000)]
+    q_n, q_d = q_table
+    q_sel = mt.richardson_extrapolate(q_n, q_d)[(q_n >= 900) & (q_n <= 1000)]
     q_mean = float(np.mean(q_sel[~np.isnan(q_sel)]))
 
     combined = 0.5 * (even + odd)
@@ -140,8 +140,9 @@ def test_criterion_11_headline_constants(p_table, q_table):
 
 
 def test_criterion_12_inner_side(p_table, q_table):
-    p_frac = mt.inner_side_fraction(p_table.select((p_table.n >= 100) & (p_table.n <= 1000)))
-    q_frac = mt.inner_side_fraction(q_table.select((q_table.n >= 100) & (q_table.n <= 1000)))
+    (p_n, p_d), (q_n, q_d) = p_table, q_table
+    p_frac = mt.inner_side_fraction(p_d[(p_n >= 100) & (p_n <= 1000)])
+    q_frac = mt.inner_side_fraction(q_d[(q_n >= 100) & (q_n <= 1000)])
     _report(
         "12-inner-side",
         p_frac == 1.0 and q_frac == 1.0,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import readback
 from polyspiral import asymptotics as asym, verify
 from polyspiral.cli import build_parser, main
 
@@ -150,6 +151,21 @@ class TestFitAndDistances:
         lines = out.splitlines()
         assert code == 0 and lines[1].startswith("2,even,")
         assert "# target_even=0.291666666666667" in lines and "# inner_side_fraction=1" in lines
+
+    @pytest.mark.parametrize("extrapolate", [False, True], ids=["raw", "extrapolate"])
+    @pytest.mark.parametrize(
+        "family, n_max", [("all", n) for n in (3, 4, 9, 101, 240)] + [("odd", n) for n in (2, 3, 8, 101, 240)]
+    )
+    def test_summary_reads_back_from_the_rows(self, tmp_path, family, n_max, extrapolate):
+        # tests/readback.py recomputes every summary line from the printed rows by README's rules; on the
+        # smallest tables one parity or every extrapolation is missing, and so is its line
+        target = tmp_path / "distances.csv"
+        argv = ["distances", "--family", family, "--n-max", str(n_max), "--out", str(target)]
+        assert main(argv + ["--extrapolate"] * extrapolate) == 0
+        rows, printed = readback.read(target)
+        assert [int(row[0]) for row in rows] == list(range(3 if family == "all" else 2, n_max + 1))
+        assert extrapolate or all(row[3] == "" for row in rows)  # no --extrapolate, no extrapolated value
+        assert readback.mismatches(rows, printed, family) == []
 
 
 class TestRender:

@@ -159,26 +159,19 @@ class TestSpiralFit:
         assert abs(frame.z0 - committed.z0) < 3e-6
 
 
-def _table(ns, distances):
-    ns = np.asarray(ns, dtype=np.int64)
-    return mt.DistanceTable(ns, np.asarray(distances, dtype=float))
-
-
-def _between(table, lo, hi):
-    return table.select((table.n >= lo) & (table.n <= hi))
-
-
 class TestDistanceTable:
     def test_parity_means(self, p_table):
-        tail = p_table.select(p_table.n >= 1500)
-        means = mt.parity_means(tail.n, tail.distance)
+        n, d = p_table
+        tail = n >= 1500
+        means = mt.parity_means(n[tail], d[tail])
         assert means[Parity.EVEN] == pytest.approx(5.0 / 6.0, abs=5e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 12.0, abs=5e-3)
 
     def test_parity_constancy(self, p_table):
-        window = _between(p_table, 1000, 2000)
-        assert float(np.std(window.distance[window.n % 2 == 0])) <= 1e-2
-        assert float(np.std(window.distance[window.n % 2 == 1])) <= 1e-2
+        n, d = p_table
+        window = (n >= 1000) & (n <= 2000)
+        assert float(np.std(d[window & (n % 2 == 0)])) <= 1e-2
+        assert float(np.std(d[window & (n % 2 == 1)])) <= 1e-2
 
     def test_range_guards(self, p_seq):
         frame = mt.FRAMES[Family.ALL_POLYGONS]
@@ -187,32 +180,33 @@ class TestDistanceTable:
         with pytest.raises(ValueError):
             mt.distance_table(p_seq, frame, 100, n_min=2)
 
-    def test_records_sorted_with_parities(self, p_table):
-        assert p_table.n[0] == 3 and p_table.n.size == 1998
-        assert np.all(np.diff(p_table.n) == 1)
-        assert np.all(p_table.distance >= 0.0)
-        assert np.all(np.isnan(p_table.extrapolated))
+    def test_records_sorted_with_parities(self, p_seq, p_table):
+        # indices 3..2000 give 1998 distances, the window n_min..n_max its own slice of them
+        _, d = p_table
+        assert d.shape == (1998,)
+        assert np.all(d >= 0.0)
+        window = mt.distance_table(p_seq, mt.FRAMES[Family.ALL_POLYGONS], 1200, n_min=1000)
+        np.testing.assert_array_equal(window, d[1000 - 3 : 1200 - 3 + 1])
 
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
-            _table([10, 20, 11, 23], np.ones(4))
+            mt.richardson_extrapolate(np.array([10, 20, 11, 23]), np.ones(4))
         with pytest.raises(ValueError):
-            _table([10, 10], np.ones(2))
+            mt.richardson_extrapolate(np.array([10, 10]), np.ones(2))
 
 
 class TestRichardson:
     def test_exact_linear_tail_eliminated(self):
         ns = np.arange(10, 81)
-        out = mt.richardson_extrapolate(_table(ns, 0.25 + 3.0 / ns**2))
-        have = ~np.isnan(out.extrapolated)
-        assert out.extrapolated[have] == pytest.approx(0.25, abs=1e-12)
-        assert np.any(have & (out.n % 2 == 1))
-        assert np.any(have & (out.n % 2 == 0))
+        extrapolated = mt.richardson_extrapolate(ns, 0.25 + 3.0 / ns**2)
+        have = ~np.isnan(extrapolated)
+        assert extrapolated[have] == pytest.approx(0.25, abs=1e-12)
+        assert np.any(have & (ns % 2 == 1))
+        assert np.any(have & (ns % 2 == 0))
 
     def test_partner_parity_respected(self):
         ns = np.array([10, 11, 20, 23])
-        out = mt.richardson_extrapolate(_table(ns, 1.0 + 1.0 / ns))
-        ext = dict(zip(out.n.tolist(), out.extrapolated.tolist()))
+        ext = dict(zip(ns.tolist(), mt.richardson_extrapolate(ns, 1.0 + 1.0 / ns).tolist()))
         assert not math.isnan(ext[10])  # partner 20
         assert not math.isnan(ext[11])  # partner 23 (= 2n + 1)
         assert math.isnan(ext[20])
@@ -231,13 +225,13 @@ class TestRichardson:
         for n, d in zip(ns, distances):
             m = next((m for m in (2 * n, 2 * n + 1, 2 * n - 1) if m in by_n and (m - n) % 2 == 0 and m != n), None)
             expected.append(math.nan if m is None else (m * m * by_n[m] - n * n * d) / (m * m - n * n))
-        out = mt.richardson_extrapolate(_table(ns, distances))
-        np.testing.assert_array_equal(out.extrapolated, np.array(expected))
+        out = mt.richardson_extrapolate(np.array(ns), np.array(distances))
+        np.testing.assert_array_equal(out, np.array(expected))
 
     def test_extrapolated_headline_values(self, p_table):
-        out = mt.richardson_extrapolate(p_table)
-        tail = _between(out, 900, 1000)
-        means = mt.parity_means(tail.n, tail.extrapolated)
+        n, d = p_table
+        tail = (n >= 900) & (n <= 1000)
+        means = mt.parity_means(n[tail], mt.richardson_extrapolate(n, d)[tail])
         assert means[Parity.EVEN] == pytest.approx(5.0 / 6.0, abs=1e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 12.0, abs=1e-3)
 
@@ -252,9 +246,9 @@ class TestInnerSide:
 
         def fraction(points):
             seq = CenterSequence(Family.ALL_POLYGONS, points)
-            table = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), seq.last_index)
-            np.testing.assert_allclose(np.abs(table.distance), 0.1, rtol=1e-6)
-            return mt.inner_side_fraction(table)
+            distance = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), seq.last_index)
+            np.testing.assert_allclose(np.abs(distance), 0.1, rtol=1e-6)
+            return mt.inner_side_fraction(distance)
 
         assert fraction(base + 0.1 * inward) == 1.0
         assert fraction(base - 0.1 * inward) == 0.0
@@ -262,7 +256,7 @@ class TestInnerSide:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mt.inner_side_fraction(_table([], []))
+            mt.inner_side_fraction(np.array([]))
 
 
 class TestOddFamilyPipeline:
@@ -281,7 +275,8 @@ class TestOddFamilyPipeline:
             mt.fit_motion_to_approximant(shifted, (500, 1000))
 
     def test_distances_converge(self, q_table):
-        tail = q_table.select(q_table.n >= 1500)
-        means = mt.parity_means(tail.n, tail.distance)
+        n, d = q_table
+        tail = n >= 1500
+        means = mt.parity_means(n[tail], d[tail])
         assert means[Parity.EVEN] == pytest.approx(7.0 / 24.0, abs=5e-3)
         assert means[Parity.ODD] == pytest.approx(7.0 / 24.0, abs=5e-3)

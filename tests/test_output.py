@@ -121,10 +121,11 @@ def centers_reference(n_max: int, fmt: str) -> str:
 @functools.lru_cache(maxsize=len(cli.FORMATS))
 def distances_reference(n_max: int, fmt: str) -> str:
     args = cli.build_parser().parse_args(["distances", "--n-max", str(n_max), "--extrapolate"])
-    table = richardson_extrapolate(distance_table(cli._sequence(args), FRAMES[Family.ALL_POLYGONS], n_max))
-    summary = cli._summary(args, table)
-    extrapolated = [None if math.isnan(x) else x for x in table.extrapolated.tolist()]
-    rows = list(zip(table.n.tolist(), table.distance.tolist(), extrapolated))
+    n = np.arange(Family.ALL_POLYGONS.first_index, n_max + 1)
+    distance = distance_table(cli._sequence(args), FRAMES[Family.ALL_POLYGONS], n_max)
+    extrapolated = richardson_extrapolate(n, distance)
+    summary = cli._summary(args, n, distance, extrapolated)
+    rows = list(zip(n.tolist(), distance.tolist(), [None if math.isnan(x) else x for x in extrapolated.tolist()]))
     if fmt == "csv":
         lines = [(str(n), cli._PARITY[n % 2], cli._fmt(d), "" if x is None else cli._fmt(x)) for n, d, x in rows]
         return csv_reference("n,parity,distance,extrapolated", lines, [f"# {k}={cli._fmt(v)}" for k, v in summary])
