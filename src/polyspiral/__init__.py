@@ -39,7 +39,6 @@ from .metrics import (
     FRAMES,
     FitError,
     SpiralFrame,
-    TARGET_SPIRAL,
     distance_table,
     fit_motion_to_approximant,
     fit_motion_to_spiral,
@@ -47,7 +46,7 @@ from .metrics import (
     parity_means,
     richardson_extrapolate,
 )
-from .spiral import LogSpiral, nearest_distances, offset_distance_profile
+from .spiral import nearest_distances, offset_distance_profile
 
 __all__ = [
     "APPROXIMANTS",
@@ -59,10 +58,8 @@ __all__ = [
     "Family",
     "FitError",
     "GROWTH_RATE",
-    "LogSpiral",
     "Parity",
     "SpiralFrame",
-    "TARGET_SPIRAL",
     "Violation",
     "alt_harmonic_expansion",
     "approximant",

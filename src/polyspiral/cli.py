@@ -20,14 +20,13 @@ import sys
 import numpy as np
 
 from . import floattext
-from .asymptotics import Parity, limit_distance
+from .asymptotics import GROWTH_RATE, Parity, limit_distance
 from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
 from .metrics import (
     APPROXIMANT_SCALE,
     FRAMES,
     NORMALIZATION,
     FitError,
-    TARGET_SPIRAL,
     distance_table,
     fit_motion_to_approximant,
     fit_motion_to_spiral,
@@ -35,7 +34,7 @@ from .metrics import (
     parity_means,
     richardson_extrapolate,
 )
-from .spiral import BLOCK, nearest_distances
+from .spiral import BLOCK, nearest_distances, point
 from .svgout import scene_from_chain
 
 MAX_N = 10**6
@@ -213,7 +212,7 @@ def _summary(
 def cmd_distances(args: argparse.Namespace) -> int:
     seq = _sequence(args)
     n = np.arange(seq.first_index, args.n_max + 1)
-    distance = distance_table(seq, FRAMES[Family(args.family)], args.n_max)
+    distance = distance_table(FRAMES[Family(args.family)], seq.centers)
     extrapolated = richardson_extrapolate(n, distance) if args.extrapolate else np.full(len(n), np.nan)
     summary = _summary(args, n, distance, extrapolated)
     assert np.isfinite(distance).all() and not np.isinf(extrapolated).any()
@@ -227,9 +226,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     scene = scene_from_chain(build_chain(Family.ALL_POLYGONS, args.n_max))
     if args.overlay:
         frame = FRAMES[Family.ALL_POLYGONS]
-        _, thetas = nearest_distances(TARGET_SPIRAL, frame.to_spiral(np.array(scene.centers)))
+        _, thetas = nearest_distances(GROWTH_RATE, frame.to_spiral(np.array(scene.centers)))
         grid = np.linspace(thetas.min() - 0.5 * math.pi, thetas.max() + 0.5 * math.pi, 600)
-        scene.spiral = frame.from_spiral(TARGET_SPIRAL.point(grid))
+        scene.spiral = frame.from_spiral(point(GROWTH_RATE, grid))
     _write(args.out, scene.to_svg())
     return 0
 

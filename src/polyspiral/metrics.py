@@ -1,19 +1,20 @@
 """Spiral coordinates of the centres and convergence measurements against the spiral.
 
-The centre sequences approach the spiral r = exp(4*theta/pi) after one
-fixed orientation-preserving isometry per family, FRAMES[family].  The
-distance table, Richardson extrapolation and the inner-side classification
-measure the centres in those coordinates.  Two fit routes estimate the
+The centre sequences approach the spiral r = exp(4*theta/pi), held as its
+growth rate GROWTH_RATE alone, after one fixed orientation-preserving
+isometry per family, FRAMES[family].  distance_table measures the points
+it is given in those coordinates; Richardson extrapolation and the
+inner-side classification work on its column.  Two fit routes estimate the
 same frame from a window of centres and serve as cross-checks of the
 constants: a direct fit against the family's closed-form centre
-approximant, and a linear fit from the growth rate 4/pi alone.  Both
-return a SpiralFrame, the one type of a motion, and share no constant, so
-their agreement is an independent check.
+approximant, and a linear fit from the growth rate 4/pi alone.  Both return
+a SpiralFrame and share no constant, so their agreement is independent.
 
 The spiral route fits c + sum over q < Q of (A_q + B_q*(-1)^n) * t^(2 - q + i*pi/2) in the
 side count t less 1/2, Q <= 6 by least estimated error in c, on >= 16 indices: within 4e-8 of
-z_f from 100:200 to 5000:10000, up to 5e-5 on late windows narrower than a factor of 1.35.
-Neither route resolves a window near 1e6 narrower than a factor of 1.01, and neither raises there.
+z_f from 100:200 to 5000:10000.  On late or narrow windows both routes lose accuracy, the
+spiral route sooner, and neither raises: README's fit-accuracy table gives the z0 errors on
+windows ending at 1e4, 1e5 and 1e6 (at 1e6 the spiral route is off by 4e-5 over a factor of 2).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
 from .geometry import CenterSequence, Family
-from .spiral import LogSpiral, nearest_distances
+from .spiral import nearest_distances
 
 #: Complex factor mapping centres into approximant coordinates: 2*pi*(1 + i*pi/4).
 APPROXIMANT_SCALE = 2.0 * math.pi * UNIT_COEFF
@@ -39,10 +40,7 @@ NORMALIZATION_MODULUS = abs(APPROXIMANT_SCALE)
 #: s^(1 + i*pi/4); dividing approximant coordinates by it gives spiral coordinates.
 NORMALIZATION = NORMALIZATION_MODULUS ** (1.0 + 0.25j * math.pi)
 
-#: The spiral every distance is measured against.
-TARGET_SPIRAL = LogSpiral(GROWTH_RATE)
-
-#: fl(4/pi) - 4/pi, the error of TARGET_SPIRAL's growth rate (60-digit mpmath, rounded once).
+#: fl(4/pi) - 4/pi, the error of GROWTH_RATE (60-digit mpmath, rounded once).
 GROWTH_RATE_ERROR = 7.871470670072994e-17
 
 
@@ -134,7 +132,7 @@ def _diagnosed(
             f"residual spread grows across window {window}: "
             f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
         )
-    distances = distance_table(seq, frame, window[1], n_min=window[0])
+    distances = distance_table(frame, seq.slice(*window))
     rounding = np.finfo(float).eps * np.abs(a)
     slope = float(np.polyfit(np.log(ns), np.log(np.maximum(residuals, rounding)), 1)[0])
     return frame, FitDiagnostics(float(residuals.max()), slope, parity_means(ns, distances))
@@ -232,21 +230,17 @@ def fit_motion_to_spiral(seq: CenterSequence, window: tuple[int, int]) -> tuple[
     return _diagnosed(seq, window, frame, centers, residuals)
 
 
-def distance_table(seq: CenterSequence, frame: SpiralFrame, n_max: int, n_min: int | None = None) -> np.ndarray:
-    """Signed nearest distances to TARGET_SPIRAL of the centres n_min..n_max in the frame's coordinates.
+def distance_table(frame: SpiralFrame, z) -> np.ndarray:
+    """Signed nearest distances of the points z, in the frame's coordinates, to r = exp(4*theta/pi).
 
-    TARGET_SPIRAL grows at fl(4/pi) = 4/pi + GROWTH_RATE_ERROR, which puts
-    it outside the true spiral by GROWTH_RATE_ERROR*theta*r(theta); that
-    radial offset, projected on the normal, is subtracted from each signed
-    distance (positive inside), on either side.  The nearest points are
-    solved by one nearest_distances call.
+    The solve runs on r = exp(GROWTH_RATE*theta), fl(4/pi) = 4/pi +
+    GROWTH_RATE_ERROR, which lies outside the true spiral by
+    GROWTH_RATE_ERROR*theta*r(theta); that radial offset, projected on the
+    normal, is subtracted from each signed distance (positive inside), on
+    either side.  The nearest points are solved by one nearest_distances call.
     """
-    if n_min is None:
-        n_min = seq.first_index
-    if not seq.first_index <= n_min <= n_max <= seq.last_index:
-        raise ValueError(f"[{n_min}, {n_max}] outside sequence range [{seq.first_index}, {seq.last_index}]")
-    d, theta = nearest_distances(TARGET_SPIRAL, frame.to_spiral(seq.slice(n_min, n_max)))
-    d -= GROWTH_RATE_ERROR * theta * TARGET_SPIRAL.radius(theta) / math.sqrt(1.0 + GROWTH_RATE**2)
+    d, theta = nearest_distances(GROWTH_RATE, frame.to_spiral(z))
+    d -= GROWTH_RATE_ERROR * theta * np.exp(GROWTH_RATE * theta) / math.sqrt(1.0 + GROWTH_RATE**2)
     return d
 
 

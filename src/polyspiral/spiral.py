@@ -1,4 +1,4 @@
-"""Logarithmic spirals and exact nearest-point computation.
+"""The logarithmic spiral r = exp(beta*theta), beta > 0, and exact nearest-point computation.
 
 The nearest-point solver seeds the spiral angle on the ray through the
 query point, at the turn whose radius best matches the point's modulus.
@@ -13,29 +13,16 @@ points, so its temporary memory does not grow with the input size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class LogSpiral:
-    """Polar curve r = exp(beta * theta), beta > 0."""
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be > 0")
-
-    def radius(self, theta):
-        return np.exp(self.beta * np.asarray(theta, dtype=float))
-
-    def point(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.radius(theta) * np.exp(1j * theta)
+def point(beta: float, theta):
+    """The point at angle theta on the spiral r = exp(beta*theta)."""
+    theta = np.asarray(theta, dtype=float)
+    return np.exp(beta * theta) * np.exp(1j * theta)
 
 
 #: Newton iterations per start of the multi-start path, fixed so every point runs the same vector ops.
@@ -66,7 +53,7 @@ def _slope_curvature(beta: float, z: np.ndarray, theta: np.ndarray) -> tuple[np.
     return br * qr - r * ui, br * br + r * r + (beta * beta - 1.0) * r * qr - 2.0 * br * ui
 
 
-def _multi_start(spiral: LogSpiral, z: np.ndarray, theta0: np.ndarray, theta_radius: np.ndarray) -> np.ndarray:
+def _multi_start(beta: float, z: np.ndarray, theta0: np.ndarray, theta_radius: np.ndarray) -> np.ndarray:
     """The angle of the closest of 2*_TURNS + 2 safeguarded Newton solves around theta0."""
     # one row per branch, plus a second start on the centre branch (branch axis, point axis)
     branches = np.append(np.arange(-_TURNS, _TURNS + 1), 0)
@@ -74,29 +61,28 @@ def _multi_start(spiral: LogSpiral, z: np.ndarray, theta0: np.ndarray, theta_rad
     lo, hi = theta - math.pi, theta + math.pi
     theta[-1] = theta_radius
     for _ in range(_NEWTON_ITERS):
-        slope, curv = _slope_curvature(spiral.beta, z, theta)
+        slope, curv = _slope_curvature(beta, z, theta)
         # a Newton step where g'' > 0 and the step is short, else a descent step of _MAX_STEP
         step = slope / np.maximum(curv, np.abs(slope) / _MAX_STEP + _TINY)
         theta = np.minimum(np.maximum(theta - step, lo), hi)
-    d2 = np.abs(z - spiral.point(theta)) ** 2
+    d2 = np.abs(z - point(beta, theta)) ** 2
     return theta[np.argmin(d2, axis=0), np.arange(z.size)]
 
 
-def _solve_block(spiral: LogSpiral, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    beta = spiral.beta
+def _solve_block(beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = np.log(np.abs(z))
     arg = np.angle(z)
     theta = arg + TWO_PI * np.round((log_r / beta - arg) / TWO_PI)
     far = np.abs(log_r - beta * theta) >= min(_NEAR_GAP, _NEAR_GAP_PER_BETA * beta)
     if far.any():
-        theta[far] = _multi_start(spiral, z[far], theta[far], log_r[far] / beta)
+        theta[far] = _multi_start(beta, z[far], theta[far], log_r[far] / beta)
     near = ~far
     z_near, theta_near = z[near], theta[near]
     for _ in range(_NEAR_STEPS):
         slope, curv = _slope_curvature(beta, z_near, theta_near)
         theta_near -= slope / curv
     theta[near] = theta_near
-    p = spiral.point(theta)
+    p = point(beta, theta)
     d = np.abs(z - p)
     # inner (left of the tangent (beta + i)*p) where Im((beta - i)*conj(p)*(z - p)) > 0
     inner = ((beta - 1j) * np.conj(p) * (z - p)).imag > 0.0
@@ -107,8 +93,8 @@ def _solve_block(spiral: LogSpiral, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
 BLOCK = 1 << 14
 
 
-def nearest_distances(spiral: LogSpiral, z):
-    """Vectorized signed nearest distance and angle from each point of z to the spiral.
+def nearest_distances(beta: float, z):
+    """Vectorized signed nearest distance and angle from each point of z to r = exp(beta*theta), beta > 0.
 
     The distance is positive on the spiral's inner side, left of the
     tangent (beta + i)*exp((beta + i)*theta) at the nearest point theta:
@@ -171,13 +157,15 @@ def nearest_distances(spiral: LogSpiral, z):
     multi-start iterations.
     Returns (signed distances, thetas).
     """
+    if beta <= 0.0:
+        raise ValueError("beta must be > 0")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z == 0):
         raise ValueError("points must be nonzero (the curve accumulates at the origin)")
     distances = np.empty(z.shape)
     thetas = np.empty(z.shape)
     for i in range(0, z.size, BLOCK):
-        distances[i : i + BLOCK], thetas[i : i + BLOCK] = _solve_block(spiral, z[i : i + BLOCK])
+        distances[i : i + BLOCK], thetas[i : i + BLOCK] = _solve_block(beta, z[i : i + BLOCK])
     return distances, thetas
 
 
@@ -189,10 +177,11 @@ def offset_distance_profile(beta: float, c: float, r_values) -> tuple[np.ndarray
     the offset curve lies inside).  Returns those distances and the flat
     prediction c / sqrt(1 + beta^2).
     """
-    spiral = LogSpiral(beta)
+    if beta <= 0.0:
+        raise ValueError("beta must be > 0")
     if c < 0.0:
         raise ValueError("c must be >= 0")
     r = np.asarray(r_values, dtype=float)
     theta = np.log(r + c) / beta
-    d, _ = nearest_distances(spiral, r * (np.cos(theta) + 1j * np.sin(theta)))
+    d, _ = nearest_distances(beta, r * (np.cos(theta) + 1j * np.sin(theta)))
     return d, c / math.sqrt(1.0 + beta * beta)

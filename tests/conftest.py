@@ -32,7 +32,7 @@ def p_fit(p_seq):
 
 @pytest.fixture(scope="session")
 def p_table(p_seq):
-    return np.arange(p_seq.first_index, 2001), distance_table(p_seq, FRAMES[Family.ALL_POLYGONS], 2000)
+    return np.arange(p_seq.first_index, 2001), distance_table(FRAMES[Family.ALL_POLYGONS], p_seq.centers)
 
 
 @pytest.fixture(scope="session")
@@ -52,4 +52,4 @@ def q_spiral_fit(q_seq):
 
 @pytest.fixture(scope="session")
 def q_table(q_seq):
-    return np.arange(q_seq.first_index, 2001), distance_table(q_seq, FRAMES[Family.ODD_POLYGONS], 2000)
+    return np.arange(q_seq.first_index, 2001), distance_table(FRAMES[Family.ODD_POLYGONS], q_seq.centers)

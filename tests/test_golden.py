@@ -14,6 +14,7 @@ run from the repository root with ``PYTHONPATH=src``:
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route approximant --out tests/golden/fit_all_approximant.json
     python -m polyspiral.cli fit --family all --n-max 200 --window 100:200 --route spiral --out tests/golden/fit_all_spiral.json
     python -m polyspiral.cli fit --family odd --n-max 400 --window 100:200 --route approximant --out tests/golden/fit_odd_approximant.json
+    python -m polyspiral.cli fit --family odd --n-max 400 --window 100:200 --route spiral --out tests/golden/fit_odd_spiral.json
     python -m polyspiral.cli render --n-max 30 --overlay --out tests/golden/render_overlay.svg
     python -m polyspiral.cli verify all --out tests/golden/verify_all.txt
 
@@ -42,6 +43,7 @@ CASES = {
     "fit_all_approximant.json": "fit --family all --n-max 200 --window 100:200 --route approximant",
     "fit_all_spiral.json": "fit --family all --n-max 200 --window 100:200 --route spiral",
     "fit_odd_approximant.json": "fit --family odd --n-max 400 --window 100:200 --route approximant",
+    "fit_odd_spiral.json": "fit --family odd --n-max 400 --window 100:200 --route spiral",
     "render_overlay.svg": "render --n-max 30 --overlay",
     "verify_all.txt": "verify all",
 }

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyspiral import metrics as mt
 from polyspiral.asymptotics import EULER_GAMMA, Parity, approximant
 from polyspiral.geometry import CenterSequence, Family, centers
+from polyspiral.spiral import BLOCK, point
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
@@ -120,7 +121,7 @@ class TestSpiralFit:
         # the points are the model's pure A_0 term, so one term fits them to their rounding and more only add noise
         ns = np.arange(Family.ALL_POLYGONS.first_index, 500)
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
-        w = mt.TARGET_SPIRAL.point(theta)
+        w = point(mt.GROWTH_RATE, theta)
         phi0, c0, a, s = 1.234, 3.5 - 2.25j, mt.APPROXIMANT_SCALE, mt.NORMALIZATION
         truth = mt.SpiralFrame(a * cmath.exp(-1j * phi0) / s, c0 / a)
         seq = CenterSequence(Family.ALL_POLYGONS, truth.from_spiral(w))
@@ -174,19 +175,26 @@ class TestDistanceTable:
         assert float(np.std(d[window & (n % 2 == 1)])) <= 1e-2
 
     def test_range_guards(self, p_seq):
-        frame = mt.FRAMES[Family.ALL_POLYGONS]
-        with pytest.raises(ValueError):
-            mt.distance_table(p_seq, frame, 5000)
-        with pytest.raises(ValueError):
-            mt.distance_table(p_seq, frame, 100, n_min=2)
+        # distance_table measures the points it is given; the index range is seq.slice's to check
+        with pytest.raises(IndexError):
+            p_seq.slice(3, 5000)
+        with pytest.raises(IndexError):
+            p_seq.slice(2, 100)
 
     def test_records_sorted_with_parities(self, p_seq, p_table):
-        # indices 3..2000 give 1998 distances, the window n_min..n_max its own slice of them
+        # indices 3..2000 give 1998 distances; a window's distances are its own slice of the full column
+        # bit for bit, also across a BLOCK boundary of the full column's solve (16380:16390 of 3..20000).
+        # There the frame maps the centres once: from 16384 points on, numpy's temporary elision evaluates
+        # K*(z - z0) as (z - z0)*K, which rounds differently, so a mapped point's last bits depend on the size.
         _, d = p_table
         assert d.shape == (1998,)
         assert np.all(d >= 0.0)
-        window = mt.distance_table(p_seq, mt.FRAMES[Family.ALL_POLYGONS], 1200, n_min=1000)
-        np.testing.assert_array_equal(window, d[1000 - 3 : 1200 - 3 + 1])
+        frame = mt.FRAMES[Family.ALL_POLYGONS]
+        np.testing.assert_array_equal(mt.distance_table(frame, p_seq.slice(1000, 1200)), d[1000 - 3 : 1200 - 3 + 1])
+        w, identity = frame.to_spiral(centers(Family.ALL_POLYGONS, 20000).centers), mt.SpiralFrame(1.0, 0.0)
+        lo, hi = 16380 - 3, 16390 - 3 + 1  # the positions of indices 16380..16390
+        assert lo < BLOCK < hi
+        np.testing.assert_array_equal(mt.distance_table(identity, w[lo:hi]), mt.distance_table(identity, w)[lo:hi])
 
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
@@ -240,13 +248,12 @@ class TestInnerSide:
     def test_constructed_offset_points(self):
         # points 0.1 inside and outside the spiral, measured by distance_table in the identity frame
         thetas = np.linspace(2.0, 8.0, 50)
-        base = mt.TARGET_SPIRAL.point(thetas)
+        base = point(mt.GROWTH_RATE, thetas)
         inward = 1j * (mt.GROWTH_RATE + 1j) * base / np.abs((mt.GROWTH_RATE + 1j) * base)  # left of the tangent
         n = np.arange(50)
 
         def fraction(points):
-            seq = CenterSequence(Family.ALL_POLYGONS, points)
-            distance = mt.distance_table(seq, mt.SpiralFrame(1.0, 0.0), seq.last_index)
+            distance = mt.distance_table(mt.SpiralFrame(1.0, 0.0), points)
             np.testing.assert_allclose(np.abs(distance), 0.1, rtol=1e-6)
             return mt.inner_side_fraction(distance)
 

@@ -122,7 +122,7 @@ def centers_reference(n_max: int, fmt: str) -> str:
 def distances_reference(n_max: int, fmt: str) -> str:
     args = cli.build_parser().parse_args(["distances", "--n-max", str(n_max), "--extrapolate"])
     n = np.arange(Family.ALL_POLYGONS.first_index, n_max + 1)
-    distance = distance_table(cli._sequence(args), FRAMES[Family.ALL_POLYGONS], n_max)
+    distance = distance_table(FRAMES[Family.ALL_POLYGONS], cli._sequence(args).centers)
     extrapolated = richardson_extrapolate(n, distance)
     summary = cli._summary(args, n, distance, extrapolated)
     rows = list(zip(n.tolist(), distance.tolist(), [None if math.isnan(x) else x for x in extrapolated.tolist()]))
