@@ -26,7 +26,6 @@ from .asymptotics import (
     spiral_gap,
 )
 from .geometry import (
-    CenterSequence,
     Family,
     Violation,
     build_chain,
@@ -52,7 +51,6 @@ __all__ = [
     "APPROXIMANTS",
     "APPROXIMANT_SCALE",
     "Approximant",
-    "CenterSequence",
     "EULER_GAMMA",
     "FRAMES",
     "Family",

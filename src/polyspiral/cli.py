@@ -21,7 +21,7 @@ import numpy as np
 
 from . import floattext
 from .asymptotics import GROWTH_RATE, Parity, limit_distance
-from .geometry import CenterSequence, Family, build_chain, centers_all, centers_odd
+from .geometry import Family, build_chain, centers_all, centers_odd
 from .metrics import (
     APPROXIMANT_SCALE,
     FRAMES,
@@ -131,14 +131,16 @@ def _write_table(args: argparse.Namespace, command: str, columns, csv_header: st
         _write(args.out, head + '"records": [\n', "\n  ]" + tail + "\n", rows, columns, ",\n")
 
 
-def _sequence(args: argparse.Namespace) -> CenterSequence:
-    return (centers_all if args.family == Family.ALL_POLYGONS.value else centers_odd)(args.n_max)
+def _sequence(args: argparse.Namespace, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices first_index..n_max of --family and their centres."""
+    z = (centers_all if args.family == Family.ALL_POLYGONS.value else centers_odd)(n_max)
+    return np.arange(Family(args.family).first_index, n_max + 1), z
 
 
 def cmd_centers(args: argparse.Namespace) -> int:
-    seq = _sequence(args)
-    assert np.isfinite(seq.centers).all()
-    columns = (np.arange(seq.first_index, seq.last_index + 1), seq.centers.real, seq.centers.imag)
+    n, z = _sequence(args, args.n_max)
+    assert np.isfinite(z).all()
+    columns = (n, z.real, z.imag)
     _write_table(args, "centers", columns, "n,re,im\n", {"family": args.family})
     return 0
 
@@ -161,11 +163,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    seq = _sequence(args)
     window = fit_window(args)
+    n, z = _sequence(args, window[1])  # built through hi only: a centre does not depend on how many are built
     fit = {"approximant": fit_motion_to_approximant, "spiral": fit_motion_to_spiral}[args.route]
     try:
-        frame, diag = fit(seq, window)
+        frame, diag = fit(Family(args.family), window, z[n >= window[0]])
     except ValueError as exc:  # the fits reject windows too short for them
         raise UsageError(f"fit window {window[0]}:{window[1]}: {exc}") from exc
     # the frame as APPROXIMANT_SCALE * centre ~ exp(i*rotation) * approximant + translation
@@ -210,9 +212,8 @@ def _summary(
 
 
 def cmd_distances(args: argparse.Namespace) -> int:
-    seq = _sequence(args)
-    n = np.arange(seq.first_index, args.n_max + 1)
-    distance = distance_table(FRAMES[Family(args.family)], seq.centers)
+    n, z = _sequence(args, args.n_max)
+    distance = distance_table(FRAMES[Family(args.family)], z)
     extrapolated = richardson_extrapolate(n, distance) if args.extrapolate else np.full(len(n), np.nan)
     summary = _summary(args, n, distance, extrapolated)
     assert np.isfinite(distance).all() and not np.isinf(extrapolated).any()

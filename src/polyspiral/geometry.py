@@ -41,44 +41,6 @@ class Family(Enum):
 
 
 @dataclass(frozen=True)
-class CenterSequence:
-    """Ordered polygon centres, indexed from the family's ``first_index``.
-
-    ``centers[i]`` is the centre with sequence index ``first_index + i``.
-    Units are polygon side lengths.
-    """
-
-    family: Family
-    centers: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.centers)
-
-    @property
-    def first_index(self) -> int:
-        return self.family.first_index
-
-    @property
-    def last_index(self) -> int:
-        return self.first_index + len(self.centers) - 1
-
-    def center(self, n: int) -> complex:
-        """Centre with sequence index n."""
-        if not self.first_index <= n <= self.last_index:
-            raise IndexError(f"index {n} outside [{self.first_index}, {self.last_index}]")
-        return complex(self.centers[n - self.first_index])
-
-    def slice(self, start: int, end: int) -> np.ndarray:
-        """Centres for sequence indices start..end inclusive."""
-        if start > end:
-            raise ValueError("empty index range")
-        if start < self.first_index or end > self.last_index:
-            raise IndexError(f"range [{start}, {end}] outside [{self.first_index}, {self.last_index}]")
-        i = start - self.first_index
-        return self.centers[i : i + (end - start + 1)]
-
-
-@dataclass(frozen=True)
 class Violation:
     polygon: int
     kind: str
@@ -131,17 +93,17 @@ def _centers(sides: np.ndarray) -> np.ndarray:
     return compensated_cumsum((apothem[:-1] + apothem[1:]) * _expi_pi(compensated_cumsum(turns)[1:]))
 
 
-def centers(family: Family, n_max: int) -> CenterSequence:
-    """Centres of the family's polygons with sequence index first_index..n_max."""
-    return CenterSequence(family, _centers(family.sides(n_max)))
+def centers(family: Family, n_max: int) -> np.ndarray:
+    """Centres of the family's polygons, in side lengths: entry i has sequence index first_index + i, up to n_max."""
+    return _centers(family.sides(n_max))
 
 
-def centers_all(n_max: int) -> CenterSequence:
+def centers_all(n_max: int) -> np.ndarray:
     """centers(Family.ALL_POLYGONS, n_max), under the name the CLI calls and perfbench times."""
     return centers(Family.ALL_POLYGONS, n_max)
 
 
-def centers_odd(n_max: int) -> CenterSequence:
+def centers_odd(n_max: int) -> np.ndarray:
     """centers(Family.ODD_POLYGONS, n_max), under the name the CLI calls and perfbench times."""
     return centers(Family.ODD_POLYGONS, n_max)
 
@@ -205,8 +167,8 @@ def validate_chain(chain: list[np.ndarray], family: Family) -> list[Violation]:
     if not chain:
         raise ValueError("chain is empty")
     report: list[Violation] = []
-    expected = centers(family, family.first_index + len(chain) - 1)
-    polygons = zip(chain, family.sides(expected.last_index)[1:].tolist(), expected.centers.tolist())
+    n_max = family.first_index + len(chain) - 1
+    polygons = zip(chain, family.sides(n_max)[1:].tolist(), centers(family, n_max).tolist())
 
     for idx, (vertices, sides, center) in enumerate(polygons):
         if len(vertices) != sides:

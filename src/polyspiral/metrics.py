@@ -3,12 +3,14 @@
 The centre sequences approach the spiral r = exp(4*theta/pi), held as its
 growth rate GROWTH_RATE alone, after one fixed orientation-preserving
 isometry per family, FRAMES[family].  distance_table measures the points
-it is given in those coordinates; Richardson extrapolation and the
-inner-side classification work on its column.  Two fit routes estimate the
-same frame from a window of centres and serve as cross-checks of the
-constants: a direct fit against the family's closed-form centre
-approximant, and a linear fit from the growth rate 4/pi alone.  Both return
-a SpiralFrame and share no constant, so their agreement is independent.
+it is given in those coordinates, each output element depending only on
+its own centre (SpiralFrame.to_spiral fixes its product's operand order,
+as the solver does); Richardson extrapolation and the inner-side
+classification work on its column.  Two fit routes estimate the same frame
+from a window of centres and serve as cross-checks of the constants: a
+direct fit against the family's closed-form centre approximant, and a
+linear fit from the growth rate 4/pi alone.  Both return a SpiralFrame and
+share no constant, so their agreement is independent.
 
 The spiral route fits c + sum over q < Q of (A_q + B_q*(-1)^n) * t^(2 - q + i*pi/2) in the
 side count t less 1/2, Q <= 6 by least estimated error in c, on >= 16 indices: within 4e-8 of
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import GROWTH_RATE, Parity, UNIT_COEFF, approximant
-from .geometry import CenterSequence, Family
+from .geometry import Family
 from .spiral import nearest_distances
 
 #: Complex factor mapping centres into approximant coordinates: 2*pi*(1 + i*pi/4).
@@ -75,7 +77,7 @@ class SpiralFrame(NamedTuple):
     z0: complex
 
     def to_spiral(self, z):
-        return self.K * (np.asarray(z) - self.z0)
+        return np.multiply(self.K, np.asarray(z) - self.z0)  # K*(z - z0) may run as (z - z0)*K: see spiral
 
     def from_spiral(self, w):
         return self.z0 + np.asarray(w) / self.K
@@ -114,32 +116,41 @@ class FitDiagnostics:
     evaluations: int = 0
 
 
-def _diagnosed(
-    seq: CenterSequence, window: tuple[int, int], frame: SpiralFrame, a: np.ndarray, residuals: np.ndarray
-) -> tuple[SpiralFrame, FitDiagnostics]:
-    """Both fits' end: check the residuals, then measure the frame on the window.
+def _indices(window: tuple[int, int], z: np.ndarray, least: int) -> np.ndarray:
+    """The window's indices lo..hi; ValueError unless there are at least least of them and z holds one centre each."""
+    ns = np.arange(window[0], window[1] + 1)
+    if len(ns) < least:
+        raise ValueError(f"window length must be >= {least}")
+    if np.shape(z) != ns.shape:
+        raise ValueError(f"z holds {np.shape(z)} centres for the {len(ns)} indices {window[0]}:{window[1]}")
+    return ns
 
-    a is what the fit matched over the window and residuals the moduli of
+
+def _diagnosed(
+    ns: np.ndarray, z: np.ndarray, frame: SpiralFrame, a: np.ndarray, residuals: np.ndarray
+) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Both fits' end: check the residuals, then measure the frame on the window's centres z.
+
+    a is what the fit matched at the indices ns and residuals the moduli of
     its misfit.  Residuals above 1e-9*max|a| that grow from the window's
     first third to its last mean that the model does not hold there, and
     raise FitError.  residual_slope is fitted with each residual raised to
     at least the rounding of its a: residuals at that level may round to 0.
     """
-    ns = np.arange(window[0], window[1] + 1)
     third = len(ns) // 3
     if np.max(residuals) > 1e-9 * np.max(np.abs(a)) and np.max(residuals[-third:]) >= np.max(residuals[:third]):
         raise FitError(
-            f"residual spread grows across window {window}: "
+            f"residual spread grows across window {ns[0]}:{ns[-1]}: "
             f"{np.max(residuals[:third]):.3e} -> {np.max(residuals[-third:]):.3e}"
         )
-    distances = distance_table(frame, seq.slice(*window))
+    distances = distance_table(frame, z)
     rounding = np.finfo(float).eps * np.abs(a)
     slope = float(np.polyfit(np.log(ns), np.log(np.maximum(residuals, rounding)), 1)[0])
     return frame, FitDiagnostics(float(residuals.max()), slope, parity_means(ns, distances))
 
 
-def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
-    """Estimate the frame aligning scaled centres with the family's centre approximant.
+def fit_motion_to_approximant(family: Family, window: tuple[int, int], z) -> tuple[SpiralFrame, FitDiagnostics]:
+    """Estimate the frame aligning the centres z, one per index lo..hi of window, with the family's approximant.
 
     Fits APPROXIMANT_SCALE*centre ~ exp(i*phi)*approximant + c.  The
     rotation phi starts from the circular mean of the step-direction ratios
@@ -155,15 +166,13 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
     at most 0.148, centres shifted by -1, +1 or +2 indices at least 0.87).
     The result is SpiralFrame(APPROXIMANT_SCALE*exp(-i*phi)/NORMALIZATION, c/APPROXIMANT_SCALE).
     """
-    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
-    if len(ns) < 8:
-        raise ValueError("window length must be >= 8")
-    a = APPROXIMANT_SCALE * centers
-    b = approximant(ns, seq.family)
+    ns = _indices(window, z, 8)
+    a = APPROXIMANT_SCALE * z
+    b = approximant(ns, family)
     ratios = np.diff(a) / np.diff(b)
     drift = float(np.mean(ns[:-1] * np.abs(np.abs(ratios) - 1.0)))
     if drift > 0.5:
-        raise FitError(f"step-magnitude mismatch {drift:.3e} on window {window}: index drift suspected")
+        raise FitError(f"step-magnitude mismatch {drift:.3e} on window {window[0]}:{window[1]}: index drift suspected")
     ratios = ratios / np.abs(ratios)
     phi = float(np.angle(ratios.mean()))
     t = ns - 0.5
@@ -181,13 +190,14 @@ def fit_motion_to_approximant(seq: CenterSequence, window: tuple[int, int]) -> t
         coef = np.linalg.lstsq(design / norms, np.concatenate([eps.real, eps.imag]), rcond=None)[0] / norms
         phi, c = phi + float(coef[0]), complex(coef[1], coef[2])
     frame = SpiralFrame(APPROXIMANT_SCALE * cmath.exp(-1j * phi) / NORMALIZATION, c / APPROXIMANT_SCALE)
-    return _diagnosed(seq, window, frame, a, np.abs(a - (np.exp(1j * phi) * b + c)))
+    return _diagnosed(ns, z, frame, a, np.abs(a - (np.exp(1j * phi) * b + c)))
 
 
-def fit_motion_to_spiral(seq: CenterSequence, window: tuple[int, int]) -> tuple[SpiralFrame, FitDiagnostics]:
+def fit_motion_to_spiral(family: Family, window: tuple[int, int], z) -> tuple[SpiralFrame, FitDiagnostics]:
     """Estimate the frame from the growth rate alone, with no approximant constant.
 
-    Fits the centres by c + sum over q < Q of (A_q + B_q*(-1)^n) * t^(2 - q + 2i/GROWTH_RATE),
+    Fits the centres z, one per index lo..hi of window, by
+    c + sum over q < Q of (A_q + B_q*(-1)^n) * t^(2 - q + 2i/GROWTH_RATE),
     linearly on unit-norm columns, where t is the side count minus 1/2:
     n - 1/2 for the all family and 2n + 1/2 for the odd one.  Rotated by
     K = exp(-i*(arg A_0 - ln|A_0|/GROWTH_RATE)), the leading term lies on
@@ -205,29 +215,27 @@ def fit_motion_to_spiral(seq: CenterSequence, window: tuple[int, int]) -> tuple[
     the spiral that leaves K unchanged.  A second pass fits the first's
     misfit, since a pass's rounding scales with what it fits.
 
-    The route trusts the sequence's indexing: the t-series absorbs a shift
-    by one index, so a shifted sequence fits without FitError, but with the
+    The route trusts that z[0] has index lo: the t-series absorbs a shift
+    by one index, so shifted centres fit without FitError, but with the
     parity labels of per_parity_mean swapped.
     """
-    ns, centers = np.arange(window[0], window[1] + 1), seq.slice(*window)
-    if len(ns) < 16:
-        raise ValueError("window length must be >= 16")
-    sides = seq.family.sides(window[1])[-len(ns) :]
+    ns = _indices(window, z, 16)
+    sides = family.sides(window[1])[-len(ns) :]
     t, sign = (sides - 0.5) / (sides[-1] - 0.5), np.where(ns % 2 == 0, 1.0, -1.0)
     columns = [t ** (2 - q + 2j / GROWTH_RATE) * s for q in range(7) for s in (1.0, sign)]
-    design = np.column_stack([np.ones_like(centers), *columns])
+    design = np.column_stack([np.ones_like(z), *columns])
     norms = np.linalg.norm(design, axis=0)
     fits = []  # per Q = 1..7: (c, A_0), the misfit's moduli and c's rounding noise
     for cols in (design[:, :width] / norms[:width] for width in range(3, 16, 2)):
         inverse = np.linalg.pinv(cols)
-        coef = inverse @ centers
-        coef += inverse @ (centers - cols @ coef)
-        misfit = np.abs(centers - cols @ coef)
+        coef = inverse @ z
+        coef += inverse @ (z - cols @ coef)
+        misfit = np.abs(z - cols @ coef)
         fits.append((coef[:2] / norms[:2], misfit, np.linalg.norm(inverse[0]) * np.sqrt(np.mean(misfit**2)) / norms[0]))
     errors = [max(f[2], abs(f[0][0] - g[0][0]) - g[2]) for f, g in zip(fits, fits[1:])]
     (c, a0), residuals, _ = fits[int(np.argmin(errors))]
     frame = SpiralFrame(cmath.exp(-1j * (cmath.phase(a0) - math.log(abs(a0)) / GROWTH_RATE)), complex(c))
-    return _diagnosed(seq, window, frame, centers, residuals)
+    return _diagnosed(ns, z, frame, z, residuals)
 
 
 def distance_table(frame: SpiralFrame, z) -> np.ndarray:

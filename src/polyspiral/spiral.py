@@ -8,6 +8,11 @@ steps from that seed.  Any other point runs a fixed number of safeguarded
 Newton iterations from one start per whole turn on each side of the seed
 and keeps the closest result.  The solver works on fixed-size blocks of
 points, so its temporary memory does not grow with the input size.
+
+Each output element depends only on its own input element, never on the
+input's size or its split into blocks: numpy's temporary elision may swap
+the operands of a complex product of large arrays, which is not bitwise
+commutative, so such products are np.multiply calls in a fixed order.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def _slope_curvature(beta: float, z: np.ndarray, theta: np.ndarray) -> tuple[np.
     and z is u.
     """
     r = np.exp(beta * theta)
-    u = z * np.exp(-1j * theta)
+    u = np.multiply(z, np.exp(-1j * theta))
     qr, ui = r - u.real, u.imag
     br = beta * r
     return br * qr - r * ui, br * br + r * r + (beta * beta - 1.0) * r * qr - 2.0 * br * ui
@@ -85,7 +90,7 @@ def _solve_block(beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = point(beta, theta)
     d = np.abs(z - p)
     # inner (left of the tangent (beta + i)*p) where Im((beta - i)*conj(p)*(z - p)) > 0
-    inner = ((beta - 1j) * np.conj(p) * (z - p)).imag > 0.0
+    inner = np.multiply(np.multiply(beta - 1j, np.conj(p)), z - p).imag > 0.0
     return np.where(inner, d, -d), theta
 
 

@@ -170,7 +170,7 @@ def suite_approximant() -> list[CheckResult]:
     ns = np.arange(500, 1001)
     results = []
     for family in Family:
-        w = FRAMES[family].to_spiral(centers(family, 1000).slice(500, 1000))
+        w = FRAMES[family].to_spiral(centers(family, 1000)[-len(ns) :])
         residual = np.abs(w * NORMALIZATION - asym.approximant(ns, family))
         worst = float((ns * residual).max())
         detail = f"max n*residual {worst:.3e} on window (500, 1000), bound 50.0"

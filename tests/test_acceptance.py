@@ -23,7 +23,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_seed_exactness():
-    seed = geo.centers(geo.Family.ALL_POLYGONS, 3).center(3)
+    (seed,) = geo.centers(geo.Family.ALL_POLYGONS, 3)
     err = abs(seed - complex(-math.sqrt(3.0) / 6.0, 0.0))
     _report("01-seed-exactness", err <= 1e-12, f"|P3 + sqrt(3)/6| = {err:.3e} (tol 1e-12)")
 
@@ -32,8 +32,7 @@ def test_criterion_01_seed_exactness():
 def test_criterion_02_vertex_oracle_equivalence(family):
     start = time.perf_counter()
     chain = geo.build_chain(family, 200)
-    seq = geo.centers(family, 200)
-    worst = max(abs(complex(p.mean()) - c) for p, c in zip(chain, seq.centers))
+    worst = max(abs(complex(p.mean()) - c) for p, c in zip(chain, geo.centers(family, 200)))
     violations = geo.validate_chain(chain, family)
     elapsed = time.perf_counter() - start
     _report(
@@ -45,7 +44,7 @@ def test_criterion_02_vertex_oracle_equivalence(family):
 
 def test_criterion_03_turning_structure():
     # steps leaving the 2-gon (centred at 0) through the 10000-gon; the k-gon turns them by pi/k if k is odd
-    steps = np.diff(geo.centers(geo.Family.ALL_POLYGONS, 10_001).centers, prepend=0.0)
+    steps = np.diff(geo.centers(geo.Family.ALL_POLYGONS, 10_001), prepend=0.0)
     k = np.arange(3, 10_001)
     expected = np.where(k % 2 == 1, np.pi / k, 0.0)
     worst = float(np.max(np.abs(np.angle(steps[1:] / steps[:-1]) - expected)))
@@ -91,7 +90,7 @@ def test_criterion_08_approximant_residual_rate(p_seq, p_fit):
     frame, _ = p_fit
     ns = np.arange(500, 1001)
     # w*NORMALIZATION - b = exp(-i*phi)*(APPROXIMANT_SCALE*c - (exp(i*phi)*b + translation)), a unit factor
-    w = frame.to_spiral(p_seq.slice(500, 1000))
+    w = frame.to_spiral(p_seq[500 - 3 : 1000 - 3 + 1])
     worst = float((ns * np.abs(w * mt.NORMALIZATION - asym.approximant(ns, geo.Family.ALL_POLYGONS))).max())
     elapsed = time.perf_counter() - start
     _report(

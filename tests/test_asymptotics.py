@@ -196,7 +196,7 @@ class TestApproximant:
         # and by 5.7e-4 with the all-family shift t = n - 1/2
         ns = np.arange(500, 1001)
         b = asym.approximant(ns, Family.ODD_POLYGONS)
-        centers = geo.centers(Family.ODD_POLYGONS, 1000).slice(500, 1000)
+        centers = geo.centers(Family.ODD_POLYGONS, 1000)[500 - 2 :]
         ratios = np.diff(2.0 * math.pi * asym.UNIT_COEFF * centers) / np.diff(b)
         assert float(np.abs(ratios - ratios.mean()).max()) < 1e-8
 

@@ -116,6 +116,17 @@ class TestFitAndDistances:
         assert out == ""
         assert not out_file.exists()
 
+    def test_fit_failure_spells_the_window_as_given(self, capsys):
+        code, _, err = run(capsys, "fit", "--n-max", "100", "--window", "3:18", "--route", "spiral")
+        assert code == 1
+        assert err.startswith("fit failure: residual spread grows across window 3:18: ")
+
+    @pytest.mark.parametrize("route", ["approximant", "spiral"])
+    def test_fit_output_does_not_depend_on_n_max(self, capsys, route):
+        # fit builds the centres through the window's end: a centre does not depend on how many are built
+        outputs = [run(capsys, "fit", "--n-max", n_max, "--window", "100:200", "--route", route) for n_max in ("200", "2000")]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
     def test_odd_family_default_window_too_short(self, capsys):
         code, out, err = run(capsys, "fit", "--family", "odd", "--n-max", "2")
         assert code == 2

@@ -106,7 +106,8 @@ class TestFitCrossCheck:
     @pytest.mark.parametrize("window", [(2_500, 5_000), (5_000, 10_000), (25_000, 50_000)], ids=lambda w: "%d:%d" % w)
     @pytest.mark.parametrize("family", Family, ids=lambda family: f"{family}-centers_{family.value}")
     def test_fit_recovers_closed_rotation(self, family, window):
-        frame, _ = mt.fit_motion_to_approximant(long_sequence(family), window)
+        lo, hi = (i - family.first_index for i in window)
+        frame, _ = mt.fit_motion_to_approximant(family, window, long_sequence(family)[lo : hi + 1])
         with mp.workdps(30):
             phi = float(rotation(family))
         assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-1j * phi) / mt.NORMALIZATION) <= 1e-14

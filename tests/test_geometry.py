@@ -25,7 +25,7 @@ def exact_alt_harmonic(n):
 
 def steps_all(n_max):
     """Centre steps leaving the 2-gon (centred at 0) through the (n_max-1)-gon."""
-    return np.diff(geo.centers(Family.ALL_POLYGONS, n_max).centers, prepend=0.0)
+    return np.diff(geo.centers(Family.ALL_POLYGONS, n_max), prepend=0.0)
 
 
 def phase_error(step, angle):
@@ -71,11 +71,11 @@ SIDES = {Family.ALL_POLYGONS: range(2, 3001), Family.ODD_POLYGONS: range(3, 6002
 class TestCentersOracle:
     @pytest.mark.parametrize("family", Family, ids=lambda family: f"centers_{family.value}")
     def test_relative_error_within_four_eps(self, family):
-        seq = geo.centers(family, 3000)
+        z = geo.centers(family, 3000)
         reference = oracle.centers(SIDES[family])
         for n in [*range(family.first_index, 301), 1000, 3000]:
             exact = reference[n - family.first_index]
-            err = abs(mpmath.mpc(seq.center(n)) - exact) / abs(exact)
+            err = abs(mpmath.mpc(z[n - family.first_index]) - exact) / abs(exact)
             assert err <= 4 * np.finfo(float).eps, (n, float(err))
 
 
@@ -119,18 +119,18 @@ class TestSteps:
 
 class TestCenterSequences:
     def test_seed_center(self):
-        seq = geo.centers(Family.ALL_POLYGONS, 3)
-        assert abs(seq.center(3) - complex(-SQRT3 / 6.0, 0.0)) < 1e-12
+        (p3,) = geo.centers(Family.ALL_POLYGONS, 3)
+        assert abs(p3 - complex(-SQRT3 / 6.0, 0.0)) < 1e-12
 
     def test_fourth_center_vs_oracle(self):
         # P_3 + step * exp(i 4 pi / 3), evaluated at 50-digit precision
-        seq = geo.centers(Family.ALL_POLYGONS, 4)
-        assert abs(seq.center(4) - complex(-0.68301270189221932, -0.68301270189221932)) < 1e-13
+        p3, p4 = geo.centers(Family.ALL_POLYGONS, 4)
+        assert abs(p4 - complex(-0.68301270189221932, -0.68301270189221932)) < 1e-13
 
     def test_step_equals_magnitude_by_construction(self):
-        seq = geo.centers(Family.ALL_POLYGONS, 4)
+        p3, p4 = geo.centers(Family.ALL_POLYGONS, 4)
         apothems = 0.5 / math.tan(math.pi / 3.0) + 0.5 / math.tan(math.pi / 4.0)
-        assert abs(abs(seq.center(4) - seq.center(3)) - apothems) < 1e-12
+        assert abs(abs(p4 - p3) - apothems) < 1e-12
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
@@ -139,38 +139,30 @@ class TestCenterSequences:
             geo.centers(Family.ODD_POLYGONS, 1)
 
     def test_step_magnitude_sweep(self, p_seq):
-        diffs = np.abs(np.diff(p_seq.centers))
-        k = np.arange(3, p_seq.last_index, dtype=float)
+        diffs = np.abs(np.diff(p_seq))
+        k = np.arange(3, 2000, dtype=float)
         mags = 0.5 * (1.0 / np.tan(np.pi / k) + 1.0 / np.tan(np.pi / (k + 1)))
-        scale = np.abs(p_seq.centers[1:])
+        scale = np.abs(p_seq[1:])
         # tolerance tracks the ulp of the accumulated magnitude
         tol = 1e-12 + 8.0 * np.finfo(float).eps * scale
         assert np.all(np.abs(diffs - mags) < tol)
-        below = p_seq.slice(3, 200)
+        below = p_seq[: 200 - 3 + 1]
         assert np.all(np.abs(np.abs(np.diff(below)) - mags[: len(below) - 1]) < 1e-12)
 
     def test_odd_family_first_term(self):
-        seq = geo.centers(Family.ODD_POLYGONS, 2)
+        (q2,) = geo.centers(Family.ODD_POLYGONS, 2)
         # magnitude (cot(pi/3) + cot(pi/5))/2 and angle pi (H_4 - H_2/2) = 4 pi/3
-        assert abs(abs(seq.center(2)) - 0.97686609483039965) < 1e-13
+        assert abs(abs(q2) - 0.97686609483039965) < 1e-13
         angle = exact_harmonic(4) - Fraction(1, 2) * exact_harmonic(2)
         assert angle == Fraction(4, 3)
-        assert abs(seq.center(2) - complex(-0.48843304741519983, -0.84599085421882459)) < 1e-13
+        assert abs(q2 - complex(-0.48843304741519983, -0.84599085421882459)) < 1e-13
 
     def test_odd_family_step_magnitudes(self, q_seq):
-        k = np.arange(2, q_seq.last_index, dtype=float)
+        k = np.arange(2, 2000, dtype=float)
         expected = 0.5 * (1.0 / np.tan(np.pi / (2 * k + 1)) + 1.0 / np.tan(np.pi / (2 * k + 3)))
-        diffs = np.abs(np.diff(q_seq.centers))
-        tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(q_seq.centers[1:])
+        diffs = np.abs(np.diff(q_seq))
+        tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(q_seq[1:])
         assert np.all(np.abs(diffs - expected) < tol)
-
-    def test_slice_and_index_guards(self):
-        seq = geo.centers(Family.ALL_POLYGONS, 10)
-        assert len(seq) == 8
-        with pytest.raises(IndexError):
-            seq.center(11)
-        with pytest.raises(IndexError):
-            seq.slice(2, 5)
 
 
 class TestChain:
@@ -183,21 +175,21 @@ class TestChain:
     def test_shared_edge_midpoint_matches_construction(self):
         chain = geo.build_chain(Family.ALL_POLYGONS, 5)
         assert len(chain) == 3
-        seq = geo.centers(Family.ALL_POLYGONS, 5)
+        p3 = geo.centers(Family.ALL_POLYGONS, 5)[0]
         tri, square = chain[0], chain[1]
         dist = np.abs(tri[:, None] - square[None, :])
         pairs = np.argwhere(dist < 1e-9)
         assert len(pairs) == 2
         midpoint = tri[pairs[:, 0]].mean()
         apothem = 0.5 / math.tan(math.pi / 3.0)
-        expected = seq.center(3) + apothem * np.exp(4j * math.pi / 3.0)
+        expected = p3 + apothem * np.exp(4j * math.pi / 3.0)
         assert abs(midpoint - expected) < 1e-12
 
     def test_centroids_match_centers(self):
         chain = geo.build_chain(Family.ALL_POLYGONS, 50)
-        seq = geo.centers(Family.ALL_POLYGONS, 50)
+        z = geo.centers(Family.ALL_POLYGONS, 50)
         for poly in chain:
-            assert abs(complex(poly.mean()) - seq.center(len(poly))) < 1e-9
+            assert abs(complex(poly.mean()) - z[len(poly) - 3]) < 1e-9
 
     @pytest.mark.parametrize("family", Family)
     def test_validation_catches_mirrored_centers(self, family, monkeypatch):
@@ -205,8 +197,7 @@ class TestChain:
         correct = geo.centers
 
         def mirrored(family, n_max):
-            seq = correct(family, n_max)
-            return geo.CenterSequence(family, seq.centers.conj())
+            return correct(family, n_max).conj()
 
         monkeypatch.setattr(geo, "centers", mirrored)
         centroid = [v for v in geo.validate_chain(geo.build_chain(family, 20), family) if v.kind == "centroid"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyspiral import metrics as mt
 from polyspiral.asymptotics import EULER_GAMMA, Parity, approximant
-from polyspiral.geometry import CenterSequence, Family, centers
+from polyspiral.geometry import Family, centers
 from polyspiral.spiral import BLOCK, point
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -53,26 +53,30 @@ class TestNormalization:
             assert cmath.exp(1j * expected) == pytest.approx(frame.K, abs=1e-15)
 
 
-def _synthetic_sequence(n_max, phi, c, noise=None):
-    ns = np.arange(Family.ALL_POLYGONS.first_index, n_max + 1)
-    b = approximant(ns, Family.ALL_POLYGONS)
-    a = np.exp(1j * phi) * b + c
+def _synthetic_window(phi, c, noise=None):
+    """All-family centres at indices 500..1000 that the approximant model fits with rotation phi and translation c."""
+    ns = np.arange(500, 1001)
+    a = np.exp(1j * phi) * approximant(ns, Family.ALL_POLYGONS) + c
     if noise is not None:
         a = a + noise(ns)
-    return CenterSequence(Family.ALL_POLYGONS, a / mt.APPROXIMANT_SCALE)
+    return a / mt.APPROXIMANT_SCALE
+
+
+def _window(z, family, lo, hi):
+    """The centres of indices lo..hi from z, which starts at the family's first index."""
+    return z[lo - family.first_index : hi - family.first_index + 1]
 
 
 class TestApproximantFit:
     def test_exact_model_recovery(self):
-        seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j)
-        frame, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
+        frame, _ = mt.fit_motion_to_approximant(Family.ALL_POLYGONS, (500, 1000), _synthetic_window(0.7, 3.0 - 2.0j))
         assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-0.7j) / mt.NORMALIZATION) < 1e-10
         assert abs(mt.APPROXIMANT_SCALE) * abs(frame.z0 - (3.0 - 2.0j) / mt.APPROXIMANT_SCALE) < 1e-10
 
     def test_noisy_recovery(self):
         noise = lambda ns: np.exp(1j * 0.4) / ns
-        seq = _synthetic_sequence(1000, 0.7, 3.0 - 2.0j, noise=noise)
-        frame, _ = mt.fit_motion_to_approximant(seq, (500, 1000))
+        z = _synthetic_window(0.7, 3.0 - 2.0j, noise=noise)
+        frame, _ = mt.fit_motion_to_approximant(Family.ALL_POLYGONS, (500, 1000), z)
         assert abs(frame.K - mt.APPROXIMANT_SCALE * cmath.exp(-0.7j) / mt.NORMALIZATION) < 5.0 / 501.0
 
     def test_real_sequence_residual_rate(self, p_fit):
@@ -81,57 +85,56 @@ class TestApproximantFit:
 
     def test_window_stability(self, p_seq, p_fit):
         frame, _ = p_fit
-        other, _ = mt.fit_motion_to_approximant(p_seq, (1000, 2000))
+        other, _ = mt.fit_motion_to_approximant(Family.ALL_POLYGONS, (1000, 2000), p_seq[1000 - 3 :])
         assert abs(frame.K - other.K) < 1e-2
         assert abs(mt.APPROXIMANT_SCALE) * abs(frame.z0 - other.z0) < 0.1
 
     def test_window_too_short(self, p_seq):
         with pytest.raises(ValueError):
-            mt.fit_motion_to_approximant(p_seq, (500, 505))
+            mt.fit_motion_to_approximant(Family.ALL_POLYGONS, (500, 505), p_seq[500 - 3 : 505 - 3 + 1])
 
     def test_index_drift_fails(self, p_seq):
         # shifting centres by one index breaks parity alignment
-        shifted = CenterSequence(Family.ALL_POLYGONS, p_seq.centers[1:])
-        with pytest.raises(mt.FitError):
-            mt.fit_motion_to_approximant(shifted, (500, 1000))
+        shifted = p_seq[1:]
+        with pytest.raises(mt.FitError, match="on window 500:1000: index drift suspected"):
+            mt.fit_motion_to_approximant(Family.ALL_POLYGONS, (500, 1000), shifted[500 - 3 : 1000 - 3 + 1])
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_index_drift_fails_on_every_window(self, family):
         # one rule from the first index on: centres shifted by an index either way read n*||da/db| - 1| near 1
-        seq, first = centers(family, 10001), family.first_index
-        later = CenterSequence(family, seq.centers[1:])
-        earlier = CenterSequence(family, np.concatenate(([0.0], seq.centers)))  # the polygon before first_index
+        z, first = centers(family, 10001), family.first_index
+        later = z[1:]
+        earlier = np.concatenate(([0.0], z))  # the polygon before first_index
         for shifted in (later, earlier):
             for window in ((first, first + 7), (20, 60), (100, 200), (100, 10000)):
                 with pytest.raises(mt.FitError, match="index drift"):
-                    mt.fit_motion_to_approximant(shifted, window)
+                    mt.fit_motion_to_approximant(family, window, _window(shifted, family, *window))
 
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_aligned_windows_pass_the_drift_rule(self, family):
         # every start below 400, ends at +7, +20, 2x, 5x and 10x: aligned centres read at most 0.148 against 0.5
-        seq = centers(family, 3990)
+        z = centers(family, 3990)
         for start in range(family.first_index, 400):
             for end in {start + 7, start + 20, 2 * start, 5 * start, 10 * start}:
                 if end - start >= 7:
-                    mt.fit_motion_to_approximant(seq, (start, end))
+                    mt.fit_motion_to_approximant(family, (start, end), _window(z, family, start, end))
 
 
 class TestSpiralFit:
     def test_synthetic_points_on_spiral(self):
         # the points are the model's pure A_0 term, so one term fits them to their rounding and more only add noise
-        ns = np.arange(Family.ALL_POLYGONS.first_index, 500)
+        ns = np.arange(300, 500)
         theta = 0.5 * math.pi * np.log(ns - 0.5) + 0.37
         w = point(mt.GROWTH_RATE, theta)
         phi0, c0, a, s = 1.234, 3.5 - 2.25j, mt.APPROXIMANT_SCALE, mt.NORMALIZATION
         truth = mt.SpiralFrame(a * cmath.exp(-1j * phi0) / s, c0 / a)
-        seq = CenterSequence(Family.ALL_POLYGONS, truth.from_spiral(w))
-        frame, _ = mt.fit_motion_to_spiral(seq, (300, 499))
+        frame, _ = mt.fit_motion_to_spiral(Family.ALL_POLYGONS, (300, 499), truth.from_spiral(w))
         assert abs(frame.K - truth.K) < 1e-14
         assert abs(a) * abs(frame.z0 - truth.z0) < 5e-9
 
     def test_window_too_short(self, p_seq):
         with pytest.raises(ValueError):
-            mt.fit_motion_to_spiral(p_seq, (500, 510))
+            mt.fit_motion_to_spiral(Family.ALL_POLYGONS, (500, 510), p_seq[500 - 3 : 510 - 3 + 1])
 
     @pytest.mark.parametrize(
         "window", [(100, 200), (500, 1000), (500, 2000), (2500, 5000), (5000, 10000)], ids=lambda w: f"{w[0]}:{w[1]}"
@@ -139,13 +142,13 @@ class TestSpiralFit:
     @pytest.mark.parametrize("family", Family, ids=lambda f: f.value)
     def test_spiral_route_recovers_frame(self, family, window):
         # from 4/pi alone, the route lands on FRAMES
-        seq = centers(family, window[1])
+        z = centers(family, window[1])[window[0] - family.first_index :]
         committed = mt.FRAMES[family]
-        frame, _ = mt.fit_motion_to_spiral(seq, window)
+        frame, _ = mt.fit_motion_to_spiral(family, window, z)
         assert abs(frame.K - committed.K) < 1e-11
         assert abs(frame.z0 - committed.z0) < 1e-6
         if window == (100, 200):  # where the approximant route is still off by its truncated tail
-            approx, _ = mt.fit_motion_to_approximant(seq, window)
+            approx, _ = mt.fit_motion_to_approximant(family, window, z)
             assert abs(frame.K - committed.K) < abs(approx.K - committed.K)
             assert abs(frame.z0 - committed.z0) < abs(approx.z0 - committed.z0)
 
@@ -155,7 +158,7 @@ class TestSpiralFit:
         # on a window spanning less than a factor of 2 the columns are nearly collinear; the term count
         # that balances truncation against amplified rounding keeps z0 near the model's noise there
         committed = mt.FRAMES[family]
-        frame, _ = mt.fit_motion_to_spiral(centers(family, window[1]), window)
+        frame, _ = mt.fit_motion_to_spiral(family, window, centers(family, window[1])[window[0] - family.first_index :])
         assert abs(frame.K - committed.K) < 1e-10
         assert abs(frame.z0 - committed.z0) < 3e-6
 
@@ -175,26 +178,26 @@ class TestDistanceTable:
         assert float(np.std(d[window & (n % 2 == 1)])) <= 1e-2
 
     def test_range_guards(self, p_seq):
-        # distance_table measures the points it is given; the index range is seq.slice's to check
-        with pytest.raises(IndexError):
-            p_seq.slice(3, 5000)
-        with pytest.raises(IndexError):
-            p_seq.slice(2, 100)
+        # distance_table measures the points it is given; a fit checks that z holds one centre per window index
+        z = p_seq[500 - 3 : 1000 - 3 + 1]
+        for fit in (mt.fit_motion_to_approximant, mt.fit_motion_to_spiral):
+            fit(Family.ALL_POLYGONS, (500, 1000), z)
+            for wrong in (z[1:], z[:-1], p_seq, z[:, None]):
+                with pytest.raises(ValueError, match="for the 501 indices 500:1000"):
+                    fit(Family.ALL_POLYGONS, (500, 1000), wrong)
 
     def test_records_sorted_with_parities(self, p_seq, p_table):
         # indices 3..2000 give 1998 distances; a window's distances are its own slice of the full column
-        # bit for bit, also across a BLOCK boundary of the full column's solve (16380:16390 of 3..20000).
-        # There the frame maps the centres once: from 16384 points on, numpy's temporary elision evaluates
-        # K*(z - z0) as (z - z0)*K, which rounds differently, so a mapped point's last bits depend on the size.
+        # bit for bit, also across a BLOCK boundary of the full column's solve (16380:16390 of 3..20000)
         _, d = p_table
         assert d.shape == (1998,)
         assert np.all(d >= 0.0)
         frame = mt.FRAMES[Family.ALL_POLYGONS]
-        np.testing.assert_array_equal(mt.distance_table(frame, p_seq.slice(1000, 1200)), d[1000 - 3 : 1200 - 3 + 1])
-        w, identity = frame.to_spiral(centers(Family.ALL_POLYGONS, 20000).centers), mt.SpiralFrame(1.0, 0.0)
+        np.testing.assert_array_equal(mt.distance_table(frame, p_seq[1000 - 3 : 1200 - 3 + 1]), d[1000 - 3 : 1200 - 3 + 1])
+        z = centers(Family.ALL_POLYGONS, 20000)
         lo, hi = 16380 - 3, 16390 - 3 + 1  # the positions of indices 16380..16390
         assert lo < BLOCK < hi
-        np.testing.assert_array_equal(mt.distance_table(identity, w[lo:hi]), mt.distance_table(identity, w)[lo:hi])
+        np.testing.assert_array_equal(mt.distance_table(frame, z[lo:hi]), mt.distance_table(frame, z)[lo:hi])
 
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
@@ -271,15 +274,15 @@ class TestOddFamilyPipeline:
         frame, diag = q_fit
         ns = np.arange(500, 1001)
         # w*NORMALIZATION - b = exp(-i*phi)*(APPROXIMANT_SCALE*c - (exp(i*phi)*b + translation)), a unit factor
-        w = frame.to_spiral(q_seq.slice(500, 1000))
+        w = frame.to_spiral(q_seq[500 - 2 : 1000 - 2 + 1])
         residual = np.abs(w * mt.NORMALIZATION - approximant(ns, Family.ODD_POLYGONS))
         assert float((ns * residual).max()) < 5.0
         assert diag.residual_slope < -0.9
 
     def test_index_drift_fails(self, q_seq):
-        shifted = CenterSequence(Family.ODD_POLYGONS, q_seq.centers[1:])
+        shifted = q_seq[1:]
         with pytest.raises(mt.FitError):
-            mt.fit_motion_to_approximant(shifted, (500, 1000))
+            mt.fit_motion_to_approximant(Family.ODD_POLYGONS, (500, 1000), shifted[500 - 2 : 1000 - 2 + 1])
 
     def test_distances_converge(self, q_table):
         n, d = q_table

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyspiral
 from polyspiral import cli, floattext
-from polyspiral.geometry import CenterSequence, Family
+from polyspiral.geometry import Family
 from polyspiral.metrics import FRAMES, distance_table, richardson_extrapolate
 from polyspiral.spiral import BLOCK
 
@@ -99,8 +99,8 @@ class TestRecordFormatter:
         assert cli._fmt(-1e-300) == "-1e-300"
 
     def test_non_finite_centres_never_reach_the_writer(self, tmp_path, monkeypatch):
-        bad = CenterSequence(Family.ALL_POLYGONS, np.array([1.0, math.inf, 2.0], dtype=complex))
-        monkeypatch.setattr(cli, "_sequence", lambda args: bad)
+        bad = np.arange(3, 6), np.array([1.0, math.inf, 2.0], dtype=complex)
+        monkeypatch.setattr(cli, "_sequence", lambda args, n_max: bad)
         target = tmp_path / "c.json"
         with pytest.raises(AssertionError):
             cli.main(["centers", "--n-max", "5", "--format", "json", "--out", str(target)])
@@ -110,8 +110,8 @@ class TestRecordFormatter:
 # Each reference keeps its last n_max in both formats: the fresh-process test reuses the largest chunk case.
 @functools.lru_cache(maxsize=len(cli.FORMATS))
 def centers_reference(n_max: int, fmt: str) -> str:
-    seq = cli._sequence(cli.build_parser().parse_args(["centers", "--n-max", str(n_max)]))
-    rows = zip(range(seq.first_index, seq.last_index + 1), seq.centers.real.tolist(), seq.centers.imag.tolist())
+    n, z = cli._sequence(cli.build_parser().parse_args(["centers"]), n_max)
+    rows = zip(n.tolist(), z.real.tolist(), z.imag.tolist())
     if fmt == "csv":
         return csv_reference("n,re,im", [(str(n), cli._fmt(x), cli._fmt(y)) for n, x, y in rows])
     records = [{"n": n, "re": x, "im": y} for n, x, y in rows]
@@ -122,7 +122,7 @@ def centers_reference(n_max: int, fmt: str) -> str:
 def distances_reference(n_max: int, fmt: str) -> str:
     args = cli.build_parser().parse_args(["distances", "--n-max", str(n_max), "--extrapolate"])
     n = np.arange(Family.ALL_POLYGONS.first_index, n_max + 1)
-    distance = distance_table(FRAMES[Family.ALL_POLYGONS], cli._sequence(args).centers)
+    distance = distance_table(FRAMES[Family.ALL_POLYGONS], cli._sequence(args, n_max)[1])
     extrapolated = richardson_extrapolate(n, distance)
     summary = cli._summary(args, n, distance, extrapolated)
     rows = list(zip(n.tolist(), distance.tolist(), [None if math.isnan(x) else x for x in extrapolated.tolist()]))
@@ -170,6 +170,28 @@ def test_cli_process_writes_the_reference_bytes(tmp_path, command, reference):
         proc = run_python("-m", "polyspiral.cli", *argv, *(["--extrapolate"] if command == "distances" else []))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text(encoding="utf-8") == reference(n_max, fmt)
+
+
+def csv_rows(*argv: str) -> list[list[str]]:
+    """The fields of each row the CLI prints as CSV, header and summary lines left out."""
+    lines = stdout_of(cli.main, list(argv)).splitlines()
+    return [line.split(",") for line in lines[1:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("family", Family, ids=lambda family: family.value)
+def test_a_rows_bytes_depend_only_on_its_index(family):
+    # each row of --n-max N is the same row of one run at 3*BLOCK, whatever N's place among the solver's
+    # blocks; an extrapolated field is compared where its partner (2n for even n, else 2n + 1) is <= N
+    options = ("--family", family.value, "--extrapolate")
+    full = csv_rows("distances", "--n-max", str(3 * BLOCK), *options)
+    all_centers = csv_rows("centers", "--family", family.value, "--n-max", str(3 * BLOCK))
+    for n_max in (family.first_index + 1, 100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
+        rows = csv_rows("distances", "--n-max", str(n_max), *options)
+        assert len(rows) == n_max - family.first_index + 1
+        assert [row[:3] for row in rows] == [row[:3] for row in full[: len(rows)]], n_max
+        paired = [int(row[0]) for row in rows if 2 * int(row[0]) + int(row[0]) % 2 <= n_max]
+        assert [rows[n - family.first_index][3] for n in paired] == [full[n - family.first_index][3] for n in paired]
+        assert csv_rows("centers", "--family", family.value, "--n-max", str(n_max)) == all_centers[: len(rows)]
 
 
 def test_slow_sink_bounds_blocks_in_flight(monkeypatch):

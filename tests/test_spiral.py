@@ -121,7 +121,7 @@ class TestNewtonSolver:
         rng = np.random.default_rng(7)
         radius = np.geomspace(1e2, 1e10, 60)
         synthetic = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, radius.size))
-        z = np.concatenate([FRAMES[Family.ALL_POLYGONS].to_spiral(p_seq.centers[::10]), synthetic])
+        z = np.concatenate([FRAMES[Family.ALL_POLYGONS].to_spiral(p_seq[::10]), synthetic])
         d, _ = sp.nearest_distances(BETA, z)
         seed = np.log(np.abs(z)) / BETA
         oracle = sampled_min(BETA, z, seed - 3.0 * math.pi, seed + 3.0 * math.pi)
@@ -223,7 +223,7 @@ class TestNearPath:
         # The reference polishes each returned angle by two Newton steps in long double
         # from the same float64 point.  Taking the smaller of two float64 evaluations of
         # one minimum biases this mean by -4.9e-6 (33 standard errors); one start, -4.5e-7.
-        w = FRAMES[Family.ALL_POLYGONS].to_spiral(centers(Family.ALL_POLYGONS, 1_000_000).slice(800_000, 1_000_000))
+        w = FRAMES[Family.ALL_POLYGONS].to_spiral(centers(Family.ALL_POLYGONS, 1_000_000)[800_000 - 3 :])
         d, theta = sp.nearest_distances(BETA, w)
         z, t = w.astype(np.clongdouble), theta.astype(np.longdouble)
         rate = np.longdouble(BETA) + 1j
