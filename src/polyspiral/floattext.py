@@ -34,8 +34,8 @@ spells written in.  Every digit word comes from one table, ``_DIGITS``, of
 the words "0000".."9999": an integer part's groups are masked to their
 last digits; a fraction's first group has three digits and the point in
 place of its leading "0", and its last nonzero group is masked before its
-trailing zeros.  ``rows`` ORs neighbouring columns that write disjoint
-bytes into one word, lays a block's words side by side and drops every NUL.
+trailing zeros.  ``rows`` lays a block's literal words and word columns
+side by side and drops every NUL.
 """
 
 from __future__ import annotations
@@ -198,9 +198,7 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
     kernel = (a >= _CEIL_POW10[0]) & (a < (1e16 if repr_style else 1e15))  # false for NaN
     if repr_style:
         kernel &= (x.view(np.int64) & ((1 << 52) - 1)) != 0  # powers of two
-    every = bool(kernel.all())
-    if not every:
-        a = np.where(kernel, a, 1.5)
+    a = np.where(kernel, a, 1.5)
     n, r, k = _scaled(a, _exponent(a))
     j = _dropped_digits(a, n, r, k) if repr_style else 2  # .15g keeps 15 of the 17 digits
     n, k, p = _round_off(n, r, j), k - j, 17 - j
@@ -208,13 +206,8 @@ def _floats(x, repr_style: bool, nan: str) -> Field:
     if carry.any():
         n, k = np.where(carry, n // 10, n), k - carry
     length = np.maximum(p - k, 1)  # digits before the decimal point
-    fixed = (k >= 0) & (length <= 16)  # else Python writes an exponent, or k < 0
-    if not fixed.all():
-        kernel &= fixed
-        every = False
-    neg = x < 0
-    if not every:
-        n, k, length, neg = np.where(kernel, n, 0), np.where(kernel, k, 0), np.where(kernel, length, 1), neg & kernel
+    kernel &= (k >= 0) & (length <= 16)  # else Python writes an exponent, or k < 0
+    n, k, length, neg = np.where(kernel, n, 0), np.where(kernel, k, 0), np.where(kernel, length, 1), (x < 0) & kernel
 
     integer, fraction = np.divmod(n, _POW10_INT[np.minimum(k, 18)])  # n < 10^17: no integer part past 18 digits
     columns = [np.where(neg, _MINUS, _NONE), *_integer_words(integer, length), *_fraction_words(fraction, k, repr_style)]
@@ -255,40 +248,19 @@ def words(texts: Sequence[str], index: np.ndarray) -> Field:
     return list(_words(texts).T[:, index])
 
 
-def _used(word) -> tuple[int, int]:
-    """The first byte and one past the last byte that a word, or any row of a word column, writes; (4, 0) if none."""
-    used = np.flatnonzero(np.bitwise_or.reduce(np.atleast_1d(word), keepdims=True).view(np.uint8))
-    return (int(used[0]), int(used[-1]) + 1) if used.size else (4, 0)
-
-
 def rows(template: Sequence[Item], columns: Sequence[np.ndarray]) -> str:
     """The template's text for each row of the equal-length columns, concatenated.
 
-    Word columns that write disjoint bytes, the first before the second in
-    every row, are ORed into one, and a literal is right-aligned when its
-    leading blanks let it join the column before it.  Dropping every NUL
-    then spells the same text from fewer words.
+    Each literal and each word column of a field is one row of a canvas of
+    words; transposed, the canvas holds the text row by row, NUL-padded,
+    and dropping every NUL spells it.
     """
     count = len(columns[0]) if columns else 0
-    layout, end = [], 5  # groups of word columns to OR, and one past the last byte the last group writes
+    parts = []
     for item in template:
-        if isinstance(item, str):
-            pad = -len(item) % 4
-            item_words = list(_words(["\0" * pad + item if end <= pad else item])[0])
-        else:
-            item_words = item[1](columns[item[0]])
-        for word in item_words:
-            first, last = _used(word)
-            if end <= first:
-                layout[-1].append(word)
-                end = max(end, last)
-            else:
-                layout.append([word])
-                end = last
-    canvas = np.empty((len(layout), count), np.uint32)
-    for row, group in zip(canvas, layout):
-        row[...] = group[0]
-        for word in group[1:]:
-            row |= word
+        parts += list(_words([item])[0]) if isinstance(item, str) else item[1](columns[item[0]])
+    canvas = np.empty((len(parts), count), np.uint32)
+    for row, word in zip(canvas, parts):
+        row[...] = word
     canvas = np.ascontiguousarray(canvas.T)  # filling by columns, then transposing, is faster
     return canvas.tobytes().translate(None, b"\0").decode("ascii")

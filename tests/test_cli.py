@@ -1,13 +1,16 @@
 import argparse
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import readback
 from polyspiral import asymptotics as asym, verify
 from polyspiral.cli import build_parser, main
+from polyspiral.svgout import SvgScene
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +56,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "--help"])
         assert exit_info.value.code == 0
+
+    def test_run_suite_rejects_unknown_name(self):
+        # cmd_verify checks names before it runs a suite, so only a library caller reaches this guard
+        with pytest.raises(KeyError, match="unknown suite 'nonsense'"):
+            verify.run_suite("nonsense")
 
     @pytest.mark.parametrize("suites", [["all", "harmonic"], ["harmonic", "all"], ["all", "all"]])
     def test_all_anywhere_runs_every_suite(self, capsys, suites):
@@ -141,7 +149,7 @@ class TestFitAndDistances:
         # residuals of the approximant fit decay like 1/n; it evaluates no objective
         assert info["residual_slope"] == pytest.approx(-1.0, abs=0.1) and "evaluations" not in info
 
-    def test_odd_family_spiral_route_has_no_objective(self, capsys):
+    def test_odd_family_spiral_fit_keys_and_odd_parity_mean(self, capsys):
         code, out, _ = run(capsys, "fit", "--family", "odd", "--n-max", "400", "--window", "100:200", "--route", "spiral")
         assert code == 0
         info = json.loads(out)
@@ -202,6 +210,13 @@ class TestRender:
         root = ET.fromstring(out)
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polygon")) == 28
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_viewport_rejects_non_finite(self, bad):
+        triangle = np.array([0.0, 1.0, 0.5 + 0.8j])
+        scene = SvgScene([triangle, triangle + complex(2.0, bad)], [], None)
+        with pytest.raises(ValueError, match="non-finite"):
+            scene.viewport()
 
     def test_size_limit(self, capsys):
         for n_max in ("2", "101"):

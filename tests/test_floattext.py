@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyspiral import floattext
 
@@ -102,8 +103,9 @@ def test_cases_cover_a_million_values():
     assert sum(len(values(case)) for case in CASES) >= 10**6
 
 
-#: Rows Python spells beside kernel rows, negative ones among them, in one block.  In the second block every
-#: kernel value's sign fits its integer part's leading blank and every fraction leaves a blank at its end.
+#: Rows Python spells beside kernel rows, negative ones among them, in one block.  The second block's kernel
+#: values have short integer parts, most of them with a sign next to them, and fractions that end in trailing
+#: zeros next to the literal that follows.
 SPELLED_AND_SIGNED = (
     [math.nan, 1.5, -math.inf, math.inf, -0.0, 1e-5, -1e-5, 1e16, -1e16, -0.6830127018922194, -123456.789, 2.5e-4],
     [-123.5, 456.25, math.nan, -789.125, math.inf, -0.0, 1e-5, 1e16, -2.0, -999.75],
@@ -123,6 +125,9 @@ def test_nan_text_and_infinities():
 def test_integers_and_words():
     n = np.array([0, 7, 10, 9999, 10**4, 123456789012345, 10**15 - 1])
     assert floattext.rows(((0, floattext.integers), ","), (n,)) == "".join(f"{k}," for k in n.tolist())
+    for bad in (-1, 10**15):
+        with pytest.raises(ValueError, match="0 <= i < 10"):
+            floattext.integers(np.array([3, bad]))
     for texts in (["even", "odd"], ["", "odd", "a longer label"]):  # the second mixes word widths
         text = floattext.rows(((0, lambda c: floattext.words(texts, c % len(texts))), "|"), (n,))
         assert text == "".join(texts[k % len(texts)] + "|" for k in n.tolist())
@@ -137,3 +142,24 @@ def test_fields_and_literals_interleave():
         text = floattext.rows(template + ((1, floattext.g15), ","), (n, np.array(block)))
         want = (f"[{k}] {v!r} ~ {g15(v)}\n{g15(v)}," for k, v in zip(n.tolist(), block))
         assert text == "".join(want)
+
+
+#: Each field function and the Python text it must equal.
+SPELL = {floattext.g15: g15, floattext.shortest: repr}
+literals = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=9)
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e16, 1e16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(literals, st.sampled_from([(0, field) for field in SPELL])), min_size=1, max_size=8),
+    st.lists(finite, min_size=1, max_size=40),
+)
+def test_random_templates_match_python(template, block):
+    want = ("".join(item if isinstance(item, str) else SPELL[item[1]](v) for item in template) for v in block)
+    assert floattext.rows(template, (np.array(block),)) == "".join(want)
+
+
+def test_empty_block_spells_nothing():
+    template = ("[", (0, floattext.g15), ", ", (0, floattext.shortest), "]\n")
+    assert floattext.rows(template, (np.array([]),)) == ""

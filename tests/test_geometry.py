@@ -117,7 +117,7 @@ class TestSteps:
         assert np.all(np.abs(drift[1:]) < np.abs(drift[:-1]))
 
 
-class TestCenterSequences:
+class TestCenters:
     def test_seed_center(self):
         (p3,) = geo.centers(Family.ALL_POLYGONS, 3)
         assert abs(p3 - complex(-SQRT3 / 6.0, 0.0)) < 1e-12
@@ -258,6 +258,18 @@ class TestChain:
         chain[4][vertex] += 1e-3
         flagged = {v.polygon for v in geo.validate_chain(chain, Family.ALL_POLYGONS) if v.kind == "shared-edge"}
         assert flagged == {len(chain[3])}
+
+    def test_validate_flags_missing_vertex(self):
+        chain = geo.build_chain(Family.ALL_POLYGONS, 20)
+        sides = len(chain[5])
+        chain[5] = np.delete(chain[5], 1)  # the shared edges, vertices 0 and m-1, stay
+        assert geo.validate_chain(chain, Family.ALL_POLYGONS) == [geo.Violation(sides, "vertex-count", sides - 1)]
+
+    def test_validate_flags_clockwise_polygon(self):
+        chain = geo.build_chain(Family.ALL_POLYGONS, 20)
+        chain[5] = chain[5][::-1]  # the same vertices and edges, clockwise
+        violations = geo.validate_chain(chain, Family.ALL_POLYGONS)
+        assert [(v.polygon, v.kind) for v in violations] == [(len(chain[5]), "convexity")]
 
     def test_validate_rejects_empty(self):
         with pytest.raises(ValueError):
